@@ -57,6 +57,13 @@ UNSOLVABLE_VALUE = Solvability.UNSOLVABLE.value
 #: Largest complex (facet count) a decision-map check will rebuild.
 MAX_CHECK_FACETS = 1_000_000
 
+#: Largest CNF, in literals of its exactly-one and value-precede clauses,
+#: the SAT attack builds for a complex.  The chain alone holds
+#: (m-1)·C(C+1)/2 literals over C classes, so this gate, not the facet
+#: gate, stops a rung whose complex fits but whose CNF would not fit in
+#: memory (<5,4,0,2> at two rounds: ~1.8e8 literals).
+MAX_CNF_LITERALS = 4_000_000
+
 #: Largest n for which a decision-map check also replays the compiled
 #: protocol exhaustively on the shm engine (cost grows super-exponentially).
 MAX_ENGINE_REPLAY_N = 3

@@ -1,10 +1,11 @@
 """SAT encoding of r-round decision-map existence, with a built-in solver.
 
 The exhaustive tier-4 search (:func:`repro.topology.decision.search_decision_map`)
-walks the decision-map space class by class, re-checking facet legality in
-Python per assignment — complete, but slow on the larger complexes the
-close-open sweep wants to attack.  This module recasts the same question
-as propositional satisfiability:
+walks the decision-map space class by class, keeping per-facet occupancy
+counters that prune a value as soon as a facet it touches can no longer
+be completed — complete, but without learning: a dead end is found
+again under every earlier assignment that leads to it.  This module
+recasts the same question as propositional satisfiability:
 
 * one boolean per ``(canonical class, output value)`` pair with
   exactly-one constraints per class;
@@ -28,26 +29,31 @@ comparison-based protocol exists" statements, the same bounded evidence
 the exhaustive tier records.
 
 The solver is a dependency-free CDCL — two-watched-literal propagation,
-first-UIP conflict learning, activity-driven branching — so the attack
-has no hard dependency on an external SAT solver.  A conflict budget
-makes every call terminate; exceeding it raises
-:class:`SatBudgetExceeded`, which the sweep records as an exhausted
-attack rung.
+first-UIP conflict learning, activity-driven branching from a binary
+heap — so the attack has no hard dependency on an external SAT solver.
+A conflict budget makes every call terminate, and a literal budget
+(:data:`repro.decision.certificates.MAX_CNF_LITERALS`) keeps the encoder
+from building a CNF that would not fit in memory; exceeding either
+raises :class:`SatBudgetExceeded`, which the sweep records as an
+exhausted attack rung.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 from ..core.gsb import GSBTask
+from ..decision.certificates import MAX_CNF_LITERALS
 from ..topology.decision import decision_class_order
 from ..topology.is_complex import ISProtocolComplex
 
 
 class SatBudgetExceeded(RuntimeError):
-    """The conflict budget ran out before SAT/UNSAT was established."""
+    """The conflict or CNF-size budget ran out before SAT/UNSAT was established."""
 
 
 @dataclass(frozen=True)
@@ -115,55 +121,58 @@ def _facet_value_clauses(
 def encode_decision_map(
     task: GSBTask, complex_: ISProtocolComplex
 ) -> DecisionMapEncoding:
-    """CNF for "an r-round comparison-based decision map solves ``task``"."""
+    """CNF for "an r-round comparison-based decision map solves ``task``".
+
+    Raises :class:`SatBudgetExceeded` before building any clause when the
+    exactly-one and value-precede clauses alone would hold more than
+    :data:`repro.decision.certificates.MAX_CNF_LITERALS` literals.
+    """
     if task.n != complex_.n:
         raise ValueError(
             f"task is on {task.n} processes but the complex has {complex_.n}"
         )
-    classes = complex_.canonical_classes()
     order = decision_class_order(complex_)
-    position = {label: index for index, label in enumerate(order)}
+    classes = len(order)
     m = task.m
+    # Exactly-one: m literals plus m(m-1)/2 pairs of two per class.  The
+    # value-precede chain: one clause of index + 1 literals per class and
+    # value past the first.  Facet clauses come on top.
+    literals = classes * m * m
+    if task.is_symmetric:
+        literals += (m - 1) * classes * (classes + 1) // 2
+    if literals > MAX_CNF_LITERALS:
+        raise SatBudgetExceeded(
+            f"CNF over {classes} classes and {m} values would hold at least "
+            f"{literals} literals, past the encoder's budget of "
+            f"{MAX_CNF_LITERALS}"
+        )
     low, high = task.low, task.high
 
     def var(class_index: int, value: int) -> int:
         return class_index * m + value
 
     clauses: set[tuple[int, ...]] = set()
-    for index in range(len(order)):
+    for index in range(classes):
         clauses.add(tuple(var(index, value) for value in range(1, m + 1)))
         for v1, v2 in itertools.combinations(range(1, m + 1), 2):
             clauses.add((-var(index, v1), -var(index, v2)))
-    # Facets repeat class multisets heavily (the complex is built from
-    # order-isomorphic views); dedupe before clause generation.
-    seen: set[tuple] = set()
-    for facet in complex_.facets():
-        mult: dict[int, int] = {}
-        for vertex in facet:
-            index = position[classes[vertex]]
-            mult[index] = mult.get(index, 0) + 1
-        fingerprint = tuple(sorted(mult.items()))
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        clauses.update(_facet_value_clauses(mult, low, high, m, var))
+    for members in complex_.facet_class_indexes():
+        clauses.update(_facet_value_clauses(Counter(members), low, high, m, var))
     if task.is_symmetric:
         # Value-precede chain over the class order: w appears only after
         # w-1 did.  Sound because symmetric-task legality is invariant
         # under value permutation (it only reads per-value counts).
+        # var(earlier, w - 1) for earlier < index is range(w - 1, index * m, m).
         for w in range(2, m + 1):
-            for index in range(len(order)):
-                clauses.add(
-                    (-var(index, w),)
-                    + tuple(var(earlier, w - 1) for earlier in range(index))
-                )
+            for index in range(classes):
+                clauses.add((-var(index, w),) + tuple(range(w - 1, index * m, m)))
     return DecisionMapEncoding(
         n=task.n,
         m=m,
         rounds=complex_.rounds,
-        num_vars=len(order) * m,
+        num_vars=classes * m,
         clauses=tuple(sorted(clauses, key=lambda c: (len(c), c))),
-        class_order=tuple(order),
+        class_order=order,
     )
 
 
@@ -186,88 +195,99 @@ def solve_cnf(
 
     Raises :class:`SatBudgetExceeded` when ``max_conflicts`` runs out —
     the caller records the rung as exhausted rather than concluding
-    anything.  Polarity defaults to False (use few values first), which
-    together with the value-precede chain steers models toward the
-    lexicographically least decision map; after the first restart,
-    phase saving takes over.  Restarts follow a Luby sequence; learned
-    clauses are never deleted, so the solver stays complete.
+    anything.  Branching takes the unassigned variable of highest
+    activity, the lowest-numbered on ties.  Polarity defaults to False
+    (use few values first), which together with the value-precede chain
+    steers models toward the lexicographically least decision map; after
+    the first restart, phase saving takes over.  Restarts follow a Luby
+    sequence; learned clauses are never deleted, so the solver stays
+    complete.
     """
-    assign: dict[int, bool] = {}
-    level: dict[int, int] = {}
-    reason: dict[int, list[int] | None] = {}
+    # truth[lit] says whether literal ``lit`` is true (None: unassigned).
+    # A negative literal indexes from the end of the list, so both
+    # polarities share one list of 2 * num_vars + 1 slots; so do the
+    # per-literal watch lists, which hold the clauses themselves.
+    slots = 2 * num_vars + 1
+    truth: list[bool | None] = [None] * slots
+    watches: list[list[list[int]]] = [[] for _ in range(slots)]
+    level = [0] * (num_vars + 1)
+    reason: list[list[int] | None] = [None] * (num_vars + 1)
     trail: list[int] = []
-    database: list[list[int]] = []
-    watches: dict[int, list[int]] = {}
+    queue: list[int] = []  # true literals still to propagate
     activity = [0.0] * (num_vars + 1)
     phase = [False] * (num_vars + 1)
+    # Branching heap of (-activity, variable) with lazy deletion: an entry
+    # is live iff its variable is unassigned and its key is current.
+    # Every unassigned variable keeps a live entry: variables are pushed
+    # when unassigned, and activity only changes on assigned variables
+    # (conflict analysis bumps) or all at once (decay, which rebuilds).
+    heap = [(-0.0, variable) for variable in range(1, num_vars + 1)]
     conflicts = 0
     decisions = 0
 
-    def value(lit: int) -> bool | None:
-        truth = assign.get(abs(lit))
-        if truth is None:
-            return None
-        return truth == (lit > 0)
-
     def enqueue(lit: int, at: int, because: list[int] | None) -> None:
-        variable = abs(lit)
-        assign[variable] = lit > 0
+        variable = lit if lit > 0 else -lit
+        truth[lit] = True
+        truth[-lit] = False
         level[variable] = at
         reason[variable] = because
         trail.append(variable)
-        queue.append(variable)
+        queue.append(lit)
 
-    def watch(cid: int) -> None:
-        for lit in database[cid][:2]:
-            watches.setdefault(lit, []).append(cid)
+    def backjump(to_level: int) -> None:
+        while trail and level[trail[-1]] > to_level:
+            variable = trail.pop()
+            phase[variable] = truth[variable]
+            truth[variable] = truth[-variable] = None
+            heappush(heap, (-activity[variable], variable))
+        queue.clear()
 
-    queue: list[int] = []
     for raw in clauses:
         clause = list(raw)
+        if clause and (
+            min(clause) < -num_vars or max(clause) > num_vars or 0 in clause
+        ):
+            raise ValueError(f"clause {raw} has a literal outside ±1..{num_vars}")
         if not clause:
             return SatResult(False, None, conflicts, decisions)
         if len(clause) == 1:
             lit = clause[0]
-            current = value(lit)
+            current = truth[lit]
             if current is False:
                 return SatResult(False, None, conflicts, decisions)
             if current is None:
                 enqueue(lit, 0, None)
             continue
-        database.append(clause)
-        watch(len(database) - 1)
+        watches[clause[0]].append(clause)
+        watches[clause[1]].append(clause)
 
     def propagate(at: int) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
         while queue:
-            variable = queue.pop()
-            false_lit = -variable if assign[variable] else variable
-            watching = watches.get(false_lit, [])
+            false_lit = -queue.pop()
+            watching = watches[false_lit]
             index = 0
             while index < len(watching):
-                cid = watching[index]
-                clause = database[cid]
+                clause = watching[index]
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
-                first = value(clause[0])
-                if first is True:
+                first = truth[clause[0]]
+                if first:
                     index += 1
                     continue
-                moved = False
                 for slot in range(2, len(clause)):
-                    if value(clause[slot]) is not False:
-                        clause[1], clause[slot] = clause[slot], clause[1]
-                        watches.setdefault(clause[1], []).append(cid)
+                    lit = clause[slot]
+                    if truth[lit] is not False:
+                        clause[1], clause[slot] = lit, clause[1]
+                        watches[lit].append(clause)
                         watching[index] = watching[-1]
                         watching.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                if first is False:
-                    return clause
-                enqueue(clause[0], at, clause)
-                index += 1
+                else:
+                    if first is False:
+                        return clause
+                    enqueue(clause[0], at, clause)
+                    index += 1
         return None
 
     conflict = propagate(0)
@@ -293,23 +313,21 @@ def solve_cnf(
     while True:
         if since_restart >= restart_limit and current_level > 0:
             # Restart: keep the learned clauses, drop the decisions.
-            while trail and level[trail[-1]] > 0:
-                variable = trail.pop()
-                phase[variable] = assign[variable]
-                del assign[variable], level[variable], reason[variable]
+            backjump(0)
             current_level = 0
-            queue.clear()
             restart_count += 1
             restart_limit = 256 * luby(restart_count)
             since_restart = 0
         # Branch: highest-activity unassigned variable, saved polarity.
         branch = 0
-        best = -1.0
-        for variable in range(1, num_vars + 1):
-            if variable not in assign and activity[variable] > best:
-                branch, best = variable, activity[variable]
+        while heap:
+            key, variable = heappop(heap)
+            if truth[variable] is None and key == -activity[variable]:
+                branch = variable
+                break
         if branch == 0:
-            return SatResult(True, dict(assign), conflicts, decisions)
+            model = {variable: truth[variable] for variable in trail}
+            return SatResult(True, model, conflicts, decisions)
         decisions += 1
         current_level += 1
         enqueue(branch if phase[branch] else -branch, current_level, None)
@@ -345,7 +363,7 @@ def solve_cnf(
                         pending += 1
                     else:
                         learnt.append(
-                            -variable if assign[variable] else variable
+                            -variable if truth[variable] else variable
                         )
                 while (
                     trail[cursor] not in seen
@@ -359,28 +377,30 @@ def solve_cnf(
                     break
                 clause = reason[pivot] or []
                 cursor -= 1
-            uip = -pivot if assign[pivot] else pivot
+            uip = -pivot if truth[pivot] else pivot
             learnt.insert(0, uip)
             backtrack_level = (
                 max(level[abs(lit)] for lit in learnt[1:])
                 if len(learnt) > 1
                 else 0
             )
-            while trail and level[trail[-1]] > backtrack_level:
-                variable = trail.pop()
-                phase[variable] = assign[variable]
-                del assign[variable], level[variable], reason[variable]
+            backjump(backtrack_level)
             current_level = backtrack_level
-            queue.clear()
             if len(learnt) == 1:
                 enqueue(uip, 0, None)
             else:
-                database.append(learnt)
-                watch(len(database) - 1)
+                watches[learnt[0]].append(learnt)
+                watches[learnt[1]].append(learnt)
                 enqueue(uip, current_level, learnt)
             if conflicts % 256 == 0:
                 for variable in range(1, num_vars + 1):
                     activity[variable] *= 0.5
+                heap[:] = [
+                    (-activity[variable], variable)
+                    for variable in range(1, num_vars + 1)
+                    if truth[variable] is None
+                ]
+                heapify(heap)
 
 
 def solve_decision_map_sat(

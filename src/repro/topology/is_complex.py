@@ -20,7 +20,9 @@ n=3 -> 13^r, n=4 -> 75^r.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from ..core.cache_config import managed_cache
 from .simplicial import SimplicialComplex
@@ -33,6 +35,7 @@ from .views import (
 )
 
 Partition = tuple[frozenset[int], ...]
+Facet = tuple[tuple[int, View], ...]
 
 
 def ordered_partitions(elements: Sequence[int]) -> Iterator[Partition]:
@@ -116,13 +119,20 @@ class ISProtocolComplex:
             self.facet_states.append(states)
 
     # ------------------------------------------------------------------
+    # Structure.  Each piece is computed once per instance and handed out
+    # immutable: the decision-map search, the SAT encoder, map
+    # verification and certificate checks all read the same complex.
 
-    def facets(self) -> list[tuple[tuple[int, View], ...]]:
+    def facets(self) -> tuple[Facet, ...]:
         """Facets as sorted (pid, view) vertex tuples."""
-        return [
+        return self._facets
+
+    @cached_property
+    def _facets(self) -> tuple[Facet, ...]:
+        return tuple(
             tuple((pid, states[pid]) for pid in range(self.n))
             for states in self.facet_states
-        ]
+        )
 
     def to_simplicial(self) -> SimplicialComplex:
         return SimplicialComplex(self.facets())
@@ -132,22 +142,55 @@ class ISProtocolComplex:
         """Chromatic coloring: the process id of a vertex."""
         return vertex[0]
 
-    def vertices(self) -> set[tuple[int, View]]:
-        points: set[tuple[int, View]] = set()
-        for facet in self.facets():
-            points.update(facet)
-        return points
+    def vertices(self) -> frozenset[tuple[int, View]]:
+        return frozenset(itertools.chain.from_iterable(self._facets))
 
-    def canonical_classes(self) -> dict[tuple[int, View], View]:
+    def canonical_classes(self) -> Mapping[tuple[int, View], View]:
         """Map each vertex to its comparison-based canonical class.
 
         The class of a vertex (pid, view) is the relabeled view *plus* the
         owner's rank among seen pids (a process knows its own identity).
         """
-        return {
-            vertex: canonical_local_state(vertex[0], vertex[1])
-            for vertex in self.vertices()
-        }
+        return self._classes
+
+    @cached_property
+    def _classes(self) -> Mapping[tuple[int, View], View]:
+        classes: dict[tuple[int, View], View] = {}
+        for facet in self._facets:
+            for vertex in facet:
+                if vertex not in classes:
+                    classes[vertex] = canonical_local_state(*vertex)
+        return MappingProxyType(classes)
+
+    def class_order(self) -> tuple[View, ...]:
+        """Canonical classes in deterministic first-appearance order.
+
+        Walking the facets in execution order, a class takes the next
+        index the first time one of its vertices appears.  Decision-map
+        search, the SAT encoding and decision-map certificates all index
+        classes this way (see
+        :func:`repro.topology.decision.decision_class_order`).
+        """
+        return self._class_order
+
+    @cached_property
+    def _class_order(self) -> tuple[View, ...]:
+        return tuple(dict.fromkeys(
+            self._classes[vertex] for facet in self._facets for vertex in facet
+        ))
+
+    def facet_class_indexes(self) -> tuple[tuple[int, ...], ...]:
+        """Each facet as the class-order index of each of its vertices."""
+        return self._facet_class_indexes
+
+    @cached_property
+    def _facet_class_indexes(self) -> tuple[tuple[int, ...], ...]:
+        position = {label: index for index, label in enumerate(self._class_order)}
+        classes = self._classes
+        return tuple(
+            tuple(position[classes[vertex]] for vertex in facet)
+            for facet in self._facets
+        )
 
     def solo_vertices(self) -> list[tuple[int, View]]:
         """The n vertices of the fully-solo executions."""
