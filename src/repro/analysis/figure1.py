@@ -13,14 +13,16 @@ the regression test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.anchoring import anchoring_profile
 from ..core.gsb import SymmetricGSBTask
 from ..core.order import hasse_diagram
 from ..core.store import get_store
 from .reporting import task_label
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 #: The published Figure 1 (n=6, m=3): cover edges of the canonical order.
 PAPER_FIGURE1_NODES: set[tuple[int, int]] = {
@@ -80,6 +82,8 @@ def figure1(n: int = 6, m: int = 3, method: str = "universe") -> Figure1:
 
 def _universe_figure_graph(n: int, m: int) -> nx.DiGraph:
     """One universe cell, relabeled to Figure 1's ``(l, u)`` node keys."""
+    import networkx as nx
+
     from ..universe.graph import single_cell_graph
 
     universe = single_cell_graph(n, m)

@@ -13,6 +13,7 @@ GSB tasks are synonyms exactly when their kernel sets coincide.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from .cache_config import BoundedDictCache, managed_cache
@@ -62,14 +63,16 @@ def kernel_vectors(n: int, m: int, low: int, high: int) -> tuple[KernelVector, .
     set).  The implementation exploits this: once the ``<n, m, 0, n>``
     master list has been enumerated (iteratively) and cached — which every
     family sweep does first, via the store's kernel columns — every tighter
-    ``(low, high)`` set is a filter over it: a weakly decreasing vector
+    ``(low, high)`` set is derived from it: a weakly decreasing vector
     lies within bounds exactly when its first entry is ``<= high`` and its
-    last ``>= low``.  A whole family sweep therefore pays for one
-    enumeration instead of one per ``(l, u)`` pair.  A tight query whose
-    master is *not* cached enumerates directly with the pruned generator —
-    the master can be astronomically larger than the requested set (e.g.
-    ``<200,10,19,21>`` has 6 vectors, its master 1.2e9), so it is never
-    built speculatively.
+    last ``>= low``.  The master is filtered once per ``low`` into the
+    ``(low, n)`` set, and each ``high`` is a bisected slice of that.  A
+    whole family sweep therefore pays for one enumeration and one filter
+    per ``l`` instead of one of each per ``(l, u)`` pair.  A tight query
+    whose master is *not* cached enumerates directly with the pruned
+    generator — the master can be astronomically larger than the
+    requested set (e.g. ``<200,10,19,21>`` has 6 vectors, its master
+    1.2e9), so it is never built speculatively.
 
     Returns an empty tuple when the task is infeasible.
     """
@@ -91,17 +94,23 @@ def _kernel_vectors_cached(
     master = _KERNEL_SET_CACHE.peek((n, m, 0, n))
     if master is not None:
         # The master list is in descending lexicographic order and
-        # filtering preserves it, so derived sets match direct enumeration
-        # byte for byte.
-        result = tuple(
-            vector
-            for vector in master
-            if vector[0] <= high and vector[-1] >= low
-        )
+        # filtering preserves it, so the (low, n) set — filtered once per
+        # low and cached under its own key — keeps that order.  Its first
+        # entries never increase, so the vectors with first entry <= high
+        # are a suffix: each high is a bisected slice, equal to the filter.
+        floor = _KERNEL_SET_CACHE.peek((n, m, low, n))
+        if floor is None:
+            floor = tuple(vector for vector in master if vector[-1] >= low)
+            _KERNEL_SET_CACHE.put((n, m, low, n), floor)
+        result = floor[bisect_left(floor, -high, key=_negated_first):]
     else:
         result = tuple(_descending_compositions(n, m, low, high))
     _KERNEL_SET_CACHE.put(key, result)
     return result
+
+
+def _negated_first(vector: KernelVector) -> int:
+    return -vector[0]
 
 
 def _descending_compositions(

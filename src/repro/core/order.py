@@ -11,13 +11,16 @@ Figure 1 draws the Hasse diagram of canonical ``<6, 3, -, ->`` tasks.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
-
-import networkx as nx
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .canonical import canonical_parameters, canonical_representative, is_canonical
 from .feasibility import feasible_bound_pairs
 from .gsb import SymmetricGSBTask
+from .kernel import kernel_vectors
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 def is_harder(task: SymmetricGSBTask, other: SymmetricGSBTask) -> bool:
@@ -124,20 +127,70 @@ def kernel_bitmasks(
     ``S(a) superset S(b)`` iff ``mask_b & ~mask_a == 0``.  This is the
     shared substrate of :func:`containment_digraph` and the universe
     graph subsystem (:mod:`repro.universe.graph`).
-    """
-    from .store import get_store  # store sits above order in core's init
 
-    columns = get_store().kernel_columns(n, m)
+    No column is tested per pair.  The columns are in descending
+    lexicographic order, so their first entries never increase and the
+    columns with first entry ``<= u`` are a suffix, found by bisection;
+    one pass over the columns builds, for every ``l``, the mask of
+    columns whose last entry is ``>= l``.  Each pair's mask is then the
+    intersection of the two.
+    """
+    columns = kernel_vectors(n, m, 0, n)
+    count = len(columns)
+    full = (1 << count) - 1
+    # by_last[v]: columns whose last entry is v, widened in place to
+    # "last entry >= v" by a running union from the top.
+    by_last = [0] * (n + 2)
+    for bit, vector in enumerate(columns):
+        by_last[vector[-1]] |= 1 << bit
+    for value in range(n, -1, -1):
+        by_last[value] |= by_last[value + 1]
+    negated_firsts = [-vector[0] for vector in columns]
     masks: dict[tuple[int, int], int] = {}
     for low, high in pairs:
-        if (low, high) in masks:
-            continue
-        mask = 0
-        for bit, vector in enumerate(columns):
-            if vector[0] <= high and vector[-1] >= low:
-                mask |= 1 << bit
-        masks[(low, high)] = mask
+        start = bisect_left(negated_firsts, -high)
+        at_least = full if low <= 0 else by_last[min(low, n + 1)]
+        masks[(low, high)] = (full >> start << start) & at_least
     return masks
+
+
+def mask_covers(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Cover pairs of the strict-subset order over a list of masks.
+
+    Returns the index pairs ``(i, j)``, sorted, where ``masks[j]`` is a
+    strict subset of ``masks[i]`` with no other mask strictly between
+    them — the transitive reduction of the strict-containment DAG, which
+    is what Figure 1 draws.  Equal masks (synonyms) are never related.
+
+    Works on bitsets over node indexes: nodes are visited in ascending
+    popcount (a strict subset always has fewer bits), each node gets the
+    set of nodes strictly below it, and a node below ``i`` is a cover
+    unless it lies below another node below ``i``.
+    """
+    order = sorted(range(len(masks)), key=lambda index: masks[index].bit_count())
+    below = [0] * len(masks)
+    covers = []
+    for position, outer in enumerate(order):
+        outer_mask = masks[outer]
+        strictly_below = 0
+        for inner in order[:position]:
+            inner_mask = masks[inner]
+            if inner_mask != outer_mask and inner_mask & ~outer_mask == 0:
+                strictly_below |= 1 << inner
+        below[outer] = strictly_below
+        shadowed = 0
+        rest = strictly_below
+        while rest:
+            low_bit = rest & -rest
+            shadowed |= below[low_bit.bit_length() - 1]
+            rest ^= low_bit
+        direct = strictly_below & ~shadowed
+        while direct:
+            low_bit = direct & -direct
+            covers.append((outer, low_bit.bit_length() - 1))
+            direct ^= low_bit
+    covers.sort()
+    return covers
 
 
 def containment_digraph(
@@ -157,6 +210,8 @@ def containment_digraph(
     calls on task objects that ``method="legacy"`` retains (and the
     tests pin the two identical).
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     if method == "legacy":
         for task in tasks:
@@ -198,6 +253,8 @@ def hasse_diagram(
     tasks: Sequence[SymmetricGSBTask], method: str = "bitmask"
 ) -> nx.DiGraph:
     """Transitive reduction of the containment DAG: Figure 1's edges."""
+    import networkx as nx
+
     full = containment_digraph(tasks, method=method)
     reduced = nx.transitive_reduction(full)
     # transitive_reduction drops node attributes; restore them.
@@ -218,6 +275,8 @@ def figure1_hasse(n: int = 6, m: int = 3) -> nx.DiGraph:
 
 def chains(graph: nx.DiGraph) -> list[list[tuple[int, int]]]:
     """All maximal source-to-sink chains of a Hasse diagram."""
+    import networkx as nx
+
     sources = [node for node in graph if graph.in_degree(node) == 0]
     sinks = [node for node in graph if graph.out_degree(node) == 0]
     found = []

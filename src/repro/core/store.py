@@ -15,9 +15,9 @@ views from then on:
 
 Entries share the kernel lattice of :func:`repro.core.kernel.kernel_vectors`:
 one master enumeration of the loosest ``<n, m, 0, n>`` set per family, with
-every tighter kernel set a filter over it.  The module-level store returned
-by :func:`get_store` is process-wide; worker processes of the parallel
-census each prime their own copy.  Records are kept until
+every tighter kernel set a slice of one filter over it.  The module-level
+store returned by :func:`get_store` is process-wide; worker processes of
+the parallel census each prime their own copy.  Records are kept until
 :func:`clear_family_store` — the working set of any realistic sweep (a few
 thousand families) is far smaller than a single exploration transcript.
 """
@@ -34,7 +34,7 @@ from .family import FamilyEntry, table_order_key
 from .feasibility import feasible_bound_pairs
 from .gsb import SymmetricGSBTask
 from .kernel import KernelVector, kernel_vectors
-from .solvability import classify
+from .solvability import classify_parameters
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def build_family_record(n: int, m: int) -> FamilyRecord:
     index: dict[tuple[int, int], FamilyEntry] = {}
     for low, high in feasible_bound_pairs(n, m):
         task = SymmetricGSBTask(n, m, low, high)
-        solvability, reason = classify(task)
+        solvability, reason = classify_parameters(n, m, low, high)
         entry = FamilyEntry(
             task=task,
             kernel_set=task.kernel_set,

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..core.named import election
 from .decision import search_decision_map
 from .is_complex import ISProtocolComplex
@@ -99,6 +97,8 @@ def election_impossibility(
     decision-map search; by default it runs when the complex is small
     (n <= 3 and at most ~2,500 facets).
     """
+    import networkx as nx
+
     complex_ = ISProtocolComplex(n, rounds)
     simplicial = complex_.to_simplicial()
 

@@ -13,9 +13,10 @@ process/color of each vertex) is supplied by a color function.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 Vertex = Hashable
 Simplex = frozenset
@@ -88,6 +89,8 @@ class SimplicialComplex:
 
     def facet_adjacency_graph(self) -> nx.Graph:
         """Facets as nodes, edges between facets sharing a ridge."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(len(self._facets)))
         index = {facet: i for i, facet in enumerate(self._facets)}
@@ -98,6 +101,8 @@ class SimplicialComplex:
 
     def is_strongly_connected(self) -> bool:
         """Any two facets joined by a ridge-sharing facet path."""
+        import networkx as nx
+
         graph = self.facet_adjacency_graph()
         return nx.is_connected(graph) if len(graph) else False
 
@@ -124,6 +129,8 @@ class SimplicialComplex:
         connects those vertex pairs; Theorem 11's propagation step needs
         each color class to be connected in it.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.vertices)
         for ridge, facets in self.ridges().items():

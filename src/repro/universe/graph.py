@@ -13,8 +13,9 @@ solution of v yields a solution of u* (v is at least as hard as u):
   order (Section 4.4).  ``S(v) subset S(u)`` means every v-legal output is
   u-legal, so v's algorithm solves u directly.  Computed by kernel-set
   **bitmask** subset tests over the family's master column list instead of
-  pairwise ``includes()`` on task objects, then transitively reduced, so a
-  cell's edges are exactly its Figure-1 Hasse diagram.
+  pairwise ``includes()`` on task objects, reduced to covers on bitsets
+  over node indexes (:func:`repro.core.order.mask_covers`), so a cell's
+  edges are exactly its Figure-1 Hasse diagram.
 * ``theorem8`` — universality of perfect renaming: ``<n, n, 1, 1>`` solves
   every GSB task on n processes.  One edge per family, from the family's
   hardest node (Theorem 5's unique sink, which every sibling already
@@ -49,19 +50,20 @@ whichever cells are present, so they never have to be stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..core.bounds import GSBSpecificationError
 from ..core.canonical import canonical_parameters
 from ..core.feasibility import is_feasible_symmetric
 from ..core.gsb import GSBTask, SymmetricGSBTask
-# kernel_bitmasks lives in core.order (it only needs the family store)
+# kernel_bitmasks lives in core.order (it only needs the kernel lattice)
 # and is re-exported here: the universe builds on the same masks that
 # power containment_digraph.
-from ..core.order import hardest_parameters, kernel_bitmasks
+from ..core.order import hardest_parameters, kernel_bitmasks, mask_covers
 from ..core.store import get_store
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 NodeKey = tuple[int, int, int, int]  # canonical (n, m, l, u)
 
@@ -166,9 +168,9 @@ def _family_labels(n: int, m: int) -> dict[tuple[int, int], tuple[str, ...]]:
 def build_cell(n: int, m: int) -> UniverseCell:
     """Materialize one family's synonym classes and cover edges.
 
-    Rides the memoized family store for entries and kernel columns; the
-    containment relation is computed on bitmasks and transitively reduced,
-    so the cell's edge set *is* the family's Figure-1 Hasse diagram.
+    Rides the memoized family store for entries and the kernel lattice
+    for masks; the containment covers are computed on bitsets, so the
+    cell's edge set *is* the family's Figure-1 Hasse diagram.
     Verdicts come from the structural decision tiers (certified closed
     forms plus value padding), and every non-OPEN node carries its
     certificate id with the payload stored on the cell.
@@ -218,16 +220,12 @@ def build_cell(n: int, m: int) -> UniverseCell:
             )
         )
 
-    dag = nx.DiGraph()
-    dag.add_nodes_from(node.key for node in nodes)
-    for outer in nodes:
-        for inner in nodes:
-            if inner.mask != outer.mask and inner.mask & ~outer.mask == 0:
-                dag.add_edge(outer.key, inner.key)
-    covers = nx.transitive_reduction(dag)
+    covers = mask_covers([node.mask for node in nodes])
     edges = tuple(
         UniverseEdge(source, target, EDGE_CONTAINMENT)
-        for source, target in sorted(covers.edges)
+        for source, target in sorted(
+            (nodes[outer].key, nodes[inner].key) for outer, inner in covers
+        )
     )
     return UniverseCell(
         n=n, m=m, nodes=tuple(nodes), edges=edges, certificates=certificates
@@ -365,6 +363,8 @@ class UniverseGraph:
 
     def to_networkx(self, kinds: Sequence[str] | None = None) -> nx.DiGraph:
         """networkx view (node/edge attributes mirror the dataclasses)."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         for key, node in self._nodes.items():
             graph.add_node(

@@ -289,8 +289,10 @@ class UniverseStore:
         # Write-then-rename so an interrupted build never leaves a
         # truncated shard behind (has_cell must imply readable).
         staging = path.with_suffix(".json.tmp")
+        # json.dumps takes the C encoder; json.dump always streams through
+        # the pure-Python one.  Both write the same bytes.
         with open(staging, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))
             handle.write("\n")
         staging.replace(path)
 

@@ -135,16 +135,52 @@ class TestKernelLatticeSharing:
             for high in range(low, 10):
                 assert set(kernel_vectors(9, 4, low, high)) <= master
 
-    def test_filter_path_matches_direct_path(self):
+    @pytest.mark.parametrize("n,m", [(11, 4), (30, 6), (40, 6)])
+    def test_filter_path_matches_direct_path(self, n, m):
+        # Every (l, u), including lows past the hardest task's floor: with
+        # the master cached each is a slice of its (l, n) set, without it
+        # a direct enumeration, and both must equal the pruned generator.
+        from repro.core.kernel import _KERNEL_SET_CACHE, _descending_compositions
+
+        pairs = [
+            (low, high)
+            for low in range(0, n // m + 2)
+            for high in range(0, n + 1)
+        ]
+        reference = {
+            pair: tuple(_descending_compositions(n, m, *pair)) for pair in pairs
+        }
+
+        def evict():  # every pair, hence every (l, n) set and the master
+            for pair in pairs:
+                _KERNEL_SET_CACHE.pop((n, m, *pair), None)
+
+        evict()
+        kernel_vectors(n, m, 0, n)  # cache the master
+        for pair in pairs:
+            assert kernel_vectors(n, m, *pair) == reference[pair], pair
+        evict()
+        for pair in pairs:
+            _KERNEL_SET_CACHE.pop((n, m, 0, n), None)  # keep the master out
+            assert kernel_vectors(n, m, *pair) == reference[pair], pair
+
+    def test_slice_query_counts_once(self):
+        # The (l, n) set is probed, not queried: one lookup per call.
         from repro.core.kernel import _KERNEL_SET_CACHE
 
-        for low, high in [(1, 5), (2, 4), (0, 3)]:
-            _KERNEL_SET_CACHE.pop((11, 4, low, high), None)
-            _KERNEL_SET_CACHE.pop((11, 4, 0, 11), None)
-            direct = kernel_vectors(11, 4, low, high)
-            _KERNEL_SET_CACHE.pop((11, 4, low, high), None)
-            kernel_vectors(11, 4, 0, 11)  # cache the master
-            assert kernel_vectors(11, 4, low, high) == direct
+        kernel_vectors(13, 3, 0, 13)
+        _KERNEL_SET_CACHE.pop((13, 3, 2, 13), None)
+        _KERNEL_SET_CACHE.pop((13, 3, 2, 7), None)
+        before = _KERNEL_SET_CACHE.stats()
+        assert kernel_vectors(13, 3, 2, 7) == _seed_kernel_vectors(13, 3, 2, 7)
+        after = _KERNEL_SET_CACHE.stats()
+        assert (after["hits"], after["misses"]) == (
+            before["hits"],
+            before["misses"] + 1,
+        )
+        assert _KERNEL_SET_CACHE.peek((13, 3, 2, 13)) == _seed_kernel_vectors(
+            13, 3, 2, 13
+        )
 
     def test_tight_query_never_builds_a_huge_master(self):
         # <200,10,19,21> has 6 vectors; its master has ~1.2e9.  The tight

@@ -45,6 +45,17 @@ def wait_for(predicate, timeout: float, interval: float = 0.1):
     return False
 
 
+def restarted_and_whole(server, workers: int = 2) -> bool:
+    """Every slot alive again after at least one restart.
+
+    Both counts come from one board snapshot: read from two, a snapshot
+    taken before the supervisor reaps the killed worker (still marked
+    alive) can pair with a later one that already counts the restart.
+    """
+    board = server.stats()["workers"]
+    return board["alive"] == workers and board["restarts_total"] >= 1
+
+
 class TestWorkerBoard:
     def test_write_read_increment_roundtrip(self):
         board = WorkerBoard(3)
@@ -118,9 +129,7 @@ class TestSupervisorLifecycle:
             # First crash of a slot: backoff is backoff_base (0.1s); even
             # with scheduling slack the pair must be whole again fast.
             assert wait_for(
-                lambda: server.stats()["workers"]["alive"] == 2
-                and server.restarts_total() >= 1,
-                timeout=10.0,
+                lambda: restarted_and_whole(server), timeout=10.0
             ), server.output
             after = set(server.worker_pids())
             assert victim not in after
@@ -155,9 +164,7 @@ class TestSupervisorLifecycle:
             victim = server.worker_pids()[0]
             server.kill_worker(victim)
             assert wait_for(
-                lambda: server.stats()["workers"]["alive"] == 2
-                and server.restarts_total() >= 1,
-                timeout=10.0,
+                lambda: restarted_and_whole(server), timeout=10.0
             ), server.output
             server.wait_healthy(10.0)
 

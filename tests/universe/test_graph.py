@@ -2,9 +2,13 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import PAPER_FIGURE1_EDGES, PAPER_FIGURE1_NODES
 from repro.core import SymmetricGSBTask, classify_parameters, feasible_bound_pairs
+from repro.core.kernel import kernel_vectors
+from repro.core.order import mask_covers
 from repro.universe import (
     EDGE_CONTAINMENT,
     EDGE_REDUCTION,
@@ -39,6 +43,26 @@ class TestKernelBitmasks:
         masks = kernel_bitmasks(6, 3, feasible_bound_pairs(6, 3))
         assert masks[(1, 6)] == masks[(1, 4)]  # the paper's synonym pair
         assert masks[(0, 6)] != masks[(0, 5)]
+
+    @settings(max_examples=25)
+    @given(n=st.integers(0, 40), m=st.integers(1, 8))
+    def test_masks_match_the_per_column_definition(self, n, m):
+        # Every (l, u), infeasible ones included: l past n // m + 1 and
+        # u past n + 1 repeat the masks of the last values tested.
+        columns = kernel_vectors(n, m, 0, n)
+        pairs = [
+            (low, high)
+            for low in range(-1, n // m + 2)
+            for high in range(-1, n + 2)
+        ]
+        masks = kernel_bitmasks(n, m, pairs)
+        assert set(masks) == set(pairs)
+        for low, high in pairs:
+            expected = 0
+            for bit, vector in enumerate(columns):
+                if vector[0] <= high and vector[-1] >= low:
+                    expected |= 1 << bit
+            assert masks[(low, high)] == expected, (n, m, low, high)
 
 
 class TestBuildCell:
@@ -78,18 +102,38 @@ class TestBuildCell:
         )
         assert "5-renaming" in renaming5.labels
 
-    def test_cell_edges_are_covers(self):
+    @pytest.mark.parametrize("n,m", [(8, 3), (40, 6), (3, 5), (1, 1)])
+    def test_cell_edges_are_covers(self, n, m):
         # Edges must be the transitive reduction of the mask-subset DAG.
-        cell = build_cell(8, 3)
-        dag = nx.DiGraph()
-        dag.add_nodes_from(node.key for node in cell.nodes)
-        for outer in cell.nodes:
-            for inner in cell.nodes:
-                if inner.mask != outer.mask and inner.mask & ~outer.mask == 0:
-                    dag.add_edge(outer.key, inner.key)
-        assert {(e.source, e.target) for e in cell.edges} == set(
-            nx.transitive_reduction(dag).edges
+        cell = build_cell(n, m)
+        assert [(e.source, e.target) for e in cell.edges] == sorted(
+            _reference_covers({node.key: node.mask for node in cell.nodes})
         )
+
+
+def _reference_covers(masks: dict) -> set:
+    """networkx's transitive reduction of the strict mask-subset DAG."""
+    dag = nx.DiGraph()
+    dag.add_nodes_from(masks)
+    for outer, outer_mask in masks.items():
+        for inner, inner_mask in masks.items():
+            if inner_mask != outer_mask and inner_mask & ~outer_mask == 0:
+                dag.add_edge(outer, inner)
+    return set(nx.transitive_reduction(dag).edges)
+
+
+class TestMaskCovers:
+    @given(st.lists(st.integers(0, 63), max_size=24))
+    def test_matches_networkx_transitive_reduction(self, masks):
+        # Small masks over 6 bits make duplicates, 0 and long chains common.
+        reference = _reference_covers(dict(enumerate(masks)))
+        assert mask_covers(masks) == sorted(reference)
+
+    def test_duplicates_and_zero(self):
+        # Equal masks (synonyms) are unrelated, and each covers 0b01.
+        assert mask_covers([0b11, 0, 0b11, 0b01]) == [(0, 3), (2, 3), (3, 1)]
+        assert mask_covers([]) == []
+        assert mask_covers([5, 5]) == []
 
 
 class TestRectangle:
