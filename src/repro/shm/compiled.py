@@ -50,6 +50,7 @@ Semantics notes (all verified by the differential suite in
 from __future__ import annotations
 
 from copy import deepcopy as _deepcopy
+from itertools import chain, filterfalse
 from typing import Any, Mapping, Sequence
 
 from .ops import Invoke, Nop, Op, Read, Snapshot, Write, WriteCell
@@ -73,6 +74,7 @@ __all__ = [
     "CompiledProtocol",
     "MachineState",
     "MemoryLayout",
+    "Relabeling",
     "ValueCanonicalizer",
     "compile_protocol",
 ]
@@ -946,8 +948,7 @@ class MachineState:
         * **decided outputs are factored out** — no operation reads
           another process's output, so states differing only in decided
           values share their entire future; the exploration engine
-          stores suffix counters and re-fills them from the querying
-          state's own outputs;
+          stores suffix counters over the undecided positions;
         * **oracle arrival order collapses to the acquired-pid mask** —
           a GSB oracle's future hand-outs depend only on *how many*
           values it has handed out (the committed value vector is fixed
@@ -1058,6 +1059,34 @@ class MachineState:
         )
 
 
+class _Lazy(dict):
+    """A dict that fills each miss with ``make(key)``: a per-key cache."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+class Relabeling(dict):
+    """The relabeling of one free-value order (the tuple of free values
+    in first-occurrence order), built once per order.
+
+    The dict itself is the inverse mapping (canonical value -> the
+    state's value).  Its members cache images under the mapping, filled
+    on first use: ``nodes`` and ``cells`` map a state's program counters
+    and cells to canonical ones, ``to_canonical`` a suffix of decided
+    values to its canonical suffix, and ``to_state`` back.
+    """
+
+    __slots__ = ("nodes", "cells", "to_canonical", "to_state")
+
+
 class ValueCanonicalizer:
     """Canonical relabeling of interchangeable written-but-undecided values.
 
@@ -1095,86 +1124,86 @@ class ValueCanonicalizer:
             )
         self._oracle = program._oracle_index[relabel.oracle]
         #: node -> chronological tuple of oracle values its history holds
-        self._node_values: dict[int, tuple] = {}
-        #: (node, mapping key) -> canonical node
-        self._canon_nodes: dict[tuple, int] = {}
+        self._node_values = _Lazy(self._values_at)
+        #: cell -> oracle values stored in it
+        self._cell_values = _Lazy(relabel.cell_values)
+        #: (committed vector, values handed out) -> values still pending
+        self._pending = _Lazy(lambda vh: frozenset(vh[0][vh[1] :]))
+        #: free-value order -> its relabeling (None: already canonical)
+        self._tables = _Lazy(self._relabeling)
 
-    def canonical(self, machine: MachineState) -> tuple[tuple | None, dict | None]:
-        """``(canonical orbit key, inverse mapping)`` for one state.
+    def canonical(
+        self, key: tuple | None, values: tuple
+    ) -> tuple[tuple | None, Relabeling | None]:
+        """``(canonical orbit key, inverse relabeling)`` for one raw key.
 
-        The inverse mapping (canonical value -> this state's value; None
-        for the identity) is what replays a memoized suffix counter back
-        into this state's frame.
+        ``key`` is a :meth:`MachineState.orbit_key` (or the key
+        :meth:`MachineState.probe_step` predicts) and ``values`` the
+        exploration's committed oracle vector.  The number of values
+        handed out is the popcount of the acquired mask: each pid
+        acquires at most once.  The relabeling is None for the identity.
         """
-        if machine._generic:
+        if key is None or key[3]:
             # Generic shared objects are opaque to the relabeler: their
             # state keys could embed oracle values this pass would have to
-            # rewrite.  Fall back to the unrelabeled orbit key (sound,
-            # merely coarser-free).
-            return machine.orbit_key(), None
-        index = self._oracle
-        values = machine._oracle_values[index]
-        pending = set(values[len(machine._oracle_arrivals[index]) :])
-        relabel = self.relabel
-        seen: set = set()
-        order: list = []
-        for cell in machine._cells:
-            for value in relabel.cell_values(cell):
-                if value not in seen:
-                    seen.add(value)
-                    order.append(value)
-        for node in machine._pc:
-            if node < 0:
-                continue
-            for value in self._values_at(node):
-                if value not in seen:
-                    seen.add(value)
-                    order.append(value)
-        free = [value for value in order if value not in pending]
+            # rewrite.  Keep the unrelabeled orbit key (sound, merely
+            # coarser-free).
+            return key, None
+        pcs, cells, acquired, _ = key
+        pending = self._pending[values, acquired[self._oracle].bit_count()]
+        order = dict.fromkeys(
+            chain(
+                *map(self._cell_values.__getitem__, cells),
+                *map(self._node_values.__getitem__, pcs),
+            )
+        )
+        table = self._tables[tuple(filterfalse(pending.__contains__, order))]
+        if table is None:
+            return key, None
+        return (
+            (
+                tuple(map(table.nodes.__getitem__, pcs)),
+                tuple(map(table.cells.__getitem__, cells)),
+                acquired,
+                (),
+            ),
+            table,
+        )
+
+    def _relabeling(self, free: tuple) -> Relabeling | None:
         mapping = {
             src: dst for src, dst in zip(free, sorted(free)) if src != dst
         }
         if not mapping:
-            return machine.orbit_key(), None
-        mapping_key = tuple(sorted(mapping.items()))
-        pcs = tuple(
-            node if node < 0 else self._canonical_node(node, mapping, mapping_key)
-            for node in machine._pc
-        )
-        cells = tuple(
-            relabel.map_cell(cell, mapping) for cell in machine._cells
-        )
+            return None
         inverse = {dst: src for src, dst in mapping.items()}
-        return (
-            (pcs, cells, tuple(machine._oracle_acquired), ()),
-            inverse,
+        map_cell, map_output = self.relabel.map_cell, self.relabel.map_output
+        table = Relabeling(inverse)
+        table.nodes = _Lazy(
+            lambda node: node if node < 0 else self._canonical_node(node, mapping)
         )
+        table.cells = _Lazy(lambda cell: map_cell(cell, mapping))
+        table.to_canonical = _Lazy(
+            lambda suffix: tuple(map_output(v, mapping) for v in suffix)
+        )
+        table.to_state = _Lazy(
+            lambda suffix: tuple(map_output(v, inverse) for v in suffix)
+        )
+        return table
 
     def _values_at(self, node: int) -> tuple:
         """Oracle values a live process at ``node`` has observed, in
-        chronological order (cached per node, built incrementally)."""
-        known = self._node_values.get(node)
-        if known is not None:
-            return known
-        program = self.program
-        parent = program.parents[node]
+        chronological order (none for a decided or crashed process)."""
+        parent = -1 if node < 0 else self.program.parents[node]
         if parent < 0:
-            held: tuple = ()
-        else:
-            held = self._values_at(parent) + tuple(
-                self.relabel.result_values(
-                    program.ops[parent], program.sent[node]
-                )
+            return ()
+        return self._node_values[parent] + tuple(
+            self.relabel.result_values(
+                self.program.ops[parent], self.program.sent[node]
             )
-        self._node_values[node] = held
-        return held
+        )
 
-    def _canonical_node(
-        self, node: int, mapping: dict, mapping_key: tuple
-    ) -> int:
-        cached = self._canon_nodes.get((node, mapping_key))
-        if cached is not None:
-            return cached
+    def _canonical_node(self, node: int, mapping: dict) -> int:
         program = self.program
         path: list[int] = []
         cursor = node
@@ -1193,5 +1222,4 @@ class ValueCanonicalizer:
             if child is None:
                 child = program.extend(parent, result, result)
             current = child
-        self._canon_nodes[(node, mapping_key)] = current
         return current

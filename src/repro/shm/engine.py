@@ -59,7 +59,6 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from .runtime import Algorithm, Runtime, RunResult, freeze_value
@@ -283,16 +282,15 @@ class PrefixSharingEngine:
         With ``quotient=True`` (and a compiled-core runtime) the memo is a
         table over value-symmetry **orbits** (:meth:`MachineState.orbit_key
         <repro.shm.compiled.MachineState.orbit_key>`): entries store suffix
-        counters over the frame's undecided positions and are re-filled
-        from each querying state's own decided outputs — counts stay exact
-        and byte-identical to this method's output, the differential suite
-        pins that.  A pre-fork probe additionally serves memo hits without
-        forking or stepping at all.
+        counters over the frame's undecided positions, and each child is
+        probed before it is forked, so a memo hit costs neither a fork nor
+        a step.  Counts stay exact and byte-identical to the exact path's;
+        the differential suite pins that.
         """
         if self.quotient and memoize:
-            probe = self._make()
-            if hasattr(probe, "orbit_key"):
-                return self._decided_vectors_quotient()
+            root = self._make()
+            if hasattr(root, "orbit_key"):
+                return self._decided_vectors_quotient(root)
             # Generator-core runtimes expose no orbit surface; the exact
             # path below is the reference they are compared against.
         return self._decided_vectors_exact(memoize)
@@ -374,40 +372,38 @@ class PrefixSharingEngine:
         assert total is not None
         return Counter(total)
 
-    def _decided_vectors_quotient(self) -> Counter:
-        """Orbit-quotient DFS (see :meth:`decided_vectors`).
+    def _decided_vectors_quotient(self, root) -> Counter:
+        """Orbit-quotient DFS from ``root`` (see :meth:`decided_vectors`).
 
-        Structure mirrors :meth:`_decided_vectors_exact`, with three
-        changes:
+        One path per child, for pinned and interchangeable specs alike:
+        probe its orbit key
+        (:meth:`~repro.shm.compiled.MachineState.probe_step`),
+        canonicalize the key when the spec declares a relabeler
+        (:class:`~repro.shm.compiled.ValueCanonicalizer`), and look it
+        up.  A hit before the fork counts as ``lex_pruned``: the
+        branch is subsumed by the orbit representative explored earlier in
+        the engine's lexicographic order.  Only a miss, or an edge the
+        probe cannot resolve, is forked and stepped.
 
-        * memo entries are ``(positions, suffix counts)`` keyed by orbit —
-          ``positions`` is the frame's undecided (enabled ∩ allowed) pid
-          tuple, and the suffix counts carry only those positions' decided
-          values; the decided prefix is constant under a frame, so the
-          projection is lossless, and a hit re-fills the suffix over the
-          *querying* state's outputs;
-        * with a declared relabeler, keys are canonicalized
-          (:class:`~repro.shm.compiled.ValueCanonicalizer`) and suffixes
-          are stored in the canonical frame — forward-mapped on store,
-          inverse-mapped on hit;
-        * without a relabeler, a pre-fork probe
-          (:meth:`~repro.shm.compiled.MachineState.probe_step`) computes
-          each successor's orbit key structurally and serves memo hits
-          before paying for the fork + step (counted as ``lex_pruned``:
-          the branch is subsumed by the orbit representative explored
-          earlier in the engine's lexicographic order).
+        Accumulators are in suffix form: a frame counts suffix tuples over
+        its own undecided (enabled ∩ allowed) positions, in its machine's
+        labels.  A child's counter joins its parent's unchanged, or with
+        the stepping pid's decided value inserted at that pid's index; a
+        memo hit first maps the canonical suffixes back through the
+        inverse relabeling.  At frame close the accumulator itself becomes
+        the memo entry ``(positions, canonical suffix counts)``,
+        forward-mapped only when the frame was relabeled.  Full output
+        vectors are built once, at the root.
         """
-        produced = 0
         memo: dict[Any, tuple] = (
             self.orbit_memo if self.orbit_memo is not None else {}
         )
         shared = self.shared_memo
-        root = self._make()
         allowed = self._allowed(root)
         self._check_depth(root)
 
         relabeler = self.relabeler
-        canon = None
+        canonical = values = None
         if relabeler is not None:
             from .compiled import ValueCanonicalizer
 
@@ -418,8 +414,9 @@ class PrefixSharingEngine:
                 # Cache on the shared program: canonical-node routing is
                 # reusable across every exploration of this step table.
                 program._engine_canonicalizer = canon
-        probing = canon is None and hasattr(root, "probe_step")
-        still = getattr(type(root), "STILL_RUNNING", None)
+            canonical = canon.canonical
+            values = root._oracle_values[canon._oracle]
+        still = type(root).STILL_RUNNING
         max_runs = self.max_runs
         max_depth = self.max_depth
         # With the full participant set (the common case) the per-node
@@ -430,162 +427,108 @@ class PrefixSharingEngine:
         nodes_l = runs_l = forks_l = hits_l = entries_l = 0
         orbits_l = lex_l = peak_l = 0
 
+        def lookup(key):
+            entry = memo.get(key)
+            if entry is None and shared is not None and key is not None:
+                entry = shared.get(key)
+                if entry is not None:
+                    memo[key] = entry
+            return entry
+
+        def canonize(key):
+            """The memo key and relabeling of a raw orbit key."""
+            if canonical is None:
+                return key, None
+            return canonical(key, values)
+
         # Accumulators are plain dicts, not Counters: Counter.__iadd__
         # rescans the whole accumulator for positivity on every merge,
         # which dominates the hot loop (counts here are never negative).
-        def leaf(machine) -> dict:
-            nonlocal produced, runs_l
-            produced += 1
-            if max_runs is not None and produced > max_runs:
+        def join(acc, suffixes, table, at, decided) -> None:
+            """Add a child's suffix counts into its parent's ``acc``;
+            ``table`` relabels a canonical memo entry into the child's
+            labels first."""
+            if table is not None:
+                suffixes = dict(
+                    zip(map(table.to_state.__getitem__, suffixes),
+                        suffixes.values())
+                )
+            get = acc.get
+            if decided is None:
+                for suffix, count in suffixes.items():
+                    acc[suffix] = get(suffix, 0) + count
+            else:
+                for suffix, count in suffixes.items():
+                    suffix = suffix[:at] + (decided,) + suffix[at:]
+                    acc[suffix] = get(suffix, 0) + count
+
+        def leaf() -> None:
+            nonlocal runs_l
+            if max_runs is not None and runs_l >= max_runs:
                 raise ExplorationBudgetExceeded(
                     f"exploration produced more than {max_runs} runs"
                 )
             runs_l += 1
-            return {tuple(freeze_value(v) for v in machine.outputs): 1}
 
-        def fill(machine, entry, inverse, override_pid, override_value):
-            """Replay a memoized suffix counter into this state's frame."""
-            positions, suffixes = entry
-            base = list(machine.outputs)
-            if override_pid is not None:
-                base[override_pid] = override_value
-            out: dict = {}
-            if inverse:
-                map_output = relabeler.map_output
-                for suffix, count in suffixes.items():
-                    full = list(base)
-                    for i, v in zip(positions, suffix):
-                        full[i] = map_output(v, inverse)
-                    key = tuple(full)
-                    out[key] = out.get(key, 0) + count
-            else:
-                for suffix, count in suffixes.items():
-                    full = list(base)
-                    for i, v in zip(positions, suffix):
-                        full[i] = v
-                    key = tuple(full)
-                    out[key] = out.get(key, 0) + count
-            return out
-
-        total: dict | None = None
+        # Frames: [machine, positions, index, acc, key, relabeling,
+        # index in the parent, decided value (None: still running)].
         stack: list[list[Any]] = []
-        _unset = object()
-
-        # Frames: [machine, branches, index, acc, key, inverse, forward,
-        # positions].
-        def open_frame(machine, branches, key=_unset):
-            nonlocal nodes_l, hits_l, peak_l
-            inverse = forward = None
-            if key is _unset:
-                if canon is not None:
-                    key, inverse = canon.canonical(machine)
-                    if inverse is not None:
-                        forward = {src: dst for dst, src in inverse.items()}
-                else:
-                    key = machine.orbit_key()
-            if key is not None:
-                entry = memo.get(key)
-                if entry is None and shared is not None:
-                    entry = shared.get(key)
-                    if entry is not None:
-                        memo[key] = entry
+        total: dict = {}
+        try:
+            positions = tuple(self._enabled(root, allowed))
+            base = [freeze_value(v) for v in root.outputs]
+            if not positions:
+                leaf()
+                total[()] = 1
+            else:
+                key, table = canonize(root.orbit_key())
+                entry = lookup(key)
                 if entry is not None:
                     hits_l += 1
-                    return fill(machine, entry, inverse, None, None)
-            nodes_l += 1
-            stack.append(
-                [machine, branches, 0, {}, key, inverse, forward,
-                 tuple(branches)]
-            )
-            if len(stack) > peak_l:
-                peak_l = len(stack)
-            return None
-
-        def propagate(outcome: dict) -> None:
-            nonlocal total
-            if stack:
-                acc = stack[-1][3]
-                get = acc.get
-                for full, count in outcome.items():
-                    acc[full] = get(full, 0) + count
-            else:
-                total = outcome
-
-        try:
-            enabled = self._enabled(root, allowed)
-            if not enabled:
-                return Counter(leaf(root))
-            hit = open_frame(root, enabled)
-            if hit is not None:
-                return Counter(hit)
+                    join(total, entry[1], table, 0, None)
+                else:
+                    nodes_l = peak_l = 1
+                    stack.append(
+                        [root, positions, 0, total, key, table, 0, None]
+                    )
             while stack:
                 frame = stack[-1]
-                machine, branches, index = frame[0], frame[1], frame[2]
+                branches = frame[1]
+                index = frame[2]
                 if index == len(branches):
+                    stack.pop()
                     acc = frame[3]
                     key = frame[4]
                     if key is not None:
-                        positions = frame[7]
-                        forward = frame[6]
-                        suffixes: dict = {}
-                        if forward:
-                            map_output = relabeler.map_output
-                            for full, count in acc.items():
-                                suffix = tuple(
-                                    map_output(full[i], forward)
-                                    for i in positions
-                                )
-                                suffixes[suffix] = (
-                                    suffixes.get(suffix, 0) + count
-                                )
-                        elif len(positions) == 1:
-                            pos = positions[0]
-                            for full, count in acc.items():
-                                suffix = (full[pos],)
-                                suffixes[suffix] = (
-                                    suffixes.get(suffix, 0) + count
-                                )
-                        else:
-                            project = itemgetter(*positions)
-                            for full, count in acc.items():
-                                suffix = project(full)
-                                suffixes[suffix] = (
-                                    suffixes.get(suffix, 0) + count
-                                )
-                        entry = (positions, suffixes)
+                        table = frame[5]
+                        if table is not None:
+                            acc = dict(
+                                zip(map(table.to_canonical.__getitem__, acc),
+                                    acc.values())
+                            )
+                        entry = (branches, acc)
                         memo[key] = entry
                         entries_l += 1
                         orbits_l += 1
                         if shared is not None:
                             shared.offer(key, entry)
-                    stack.pop()
-                    propagate(acc)
+                    if stack:
+                        join(stack[-1][3], frame[3], None, frame[6], frame[7])
                     continue
                 frame[2] = index + 1
+                machine = frame[0]
                 pid = branches[index]
-                pkey = _unset
-                if probing:
-                    probed = machine.probe_step(pid)
-                    if probed is not None:
-                        pkey, decided = probed
-                        entry = memo.get(pkey)
-                        if entry is None and shared is not None:
-                            entry = shared.get(pkey)
-                            if entry is not None:
-                                memo[pkey] = entry
-                        if entry is not None:
-                            hits_l += 1
-                            lex_l += 1
-                            if decided is still:
-                                propagate(
-                                    fill(machine, entry, None, None, None)
-                                )
-                            else:
-                                propagate(
-                                    fill(machine, entry, None, pid, decided)
-                                )
-                            continue
-                if frame[2] == len(branches):
+                probed = machine.probe_step(pid)
+                if probed is not None:
+                    key, table = canonize(probed[0])
+                    decided = None if probed[1] is still else probed[1]
+                    entry = lookup(key)
+                    if entry is not None:
+                        hits_l += 1
+                        lex_l += 1
+                        join(frame[3], entry[1], table, index, decided)
+                        continue
+                if index + 1 == len(branches):
                     child = machine
                 else:
                     child = machine.fork()
@@ -593,6 +536,7 @@ class PrefixSharingEngine:
                 child.step(pid)
                 if child.step_count > max_depth:
                     self._check_depth(child)
+                decided = child.outputs[pid]  # None while pid runs on
                 if full_set:
                     child_enabled = child.enabled_pids()
                 else:
@@ -600,13 +544,33 @@ class PrefixSharingEngine:
                         p for p in child.enabled_pids() if p in allowed
                     ]
                 if not child_enabled:
-                    propagate(leaf(child))
+                    # ``pid`` was this frame's last undecided position,
+                    # and it has just decided.
+                    leaf()
+                    acc = frame[3]
+                    suffix = (decided,)
+                    acc[suffix] = acc.get(suffix, 0) + 1
                     continue
-                hit = open_frame(child, child_enabled, key=pkey)
-                if hit is not None:
-                    propagate(hit)
-            assert total is not None
-            return Counter(total)
+                if probed is None:
+                    key, table = canonize(child.orbit_key())
+                    entry = lookup(key)
+                    if entry is not None:
+                        hits_l += 1
+                        join(frame[3], entry[1], table, index, decided)
+                        continue
+                nodes_l += 1
+                stack.append(
+                    [child, tuple(child_enabled), 0, {}, key, table,
+                     index, decided]
+                )
+                if len(stack) > peak_l:
+                    peak_l = len(stack)
+            decisions: Counter = Counter()
+            for suffix, count in total.items():
+                for pid, value in zip(positions, suffix):
+                    base[pid] = value
+                decisions[tuple(base)] = count
+            return decisions
         finally:
             stats = self.stats
             stats.nodes += nodes_l
@@ -794,14 +758,13 @@ class ExplorationSpec:
     algorithm_factory: Callable[[int], Algorithm]
     system_factory: Callable[[int], Callable[[], tuple[dict, dict]]]
     min_n: int = 2
-    #: ``"pinned"`` (default): oracle values feed arithmetic or carry
-    #: semantics — only the relabeling-free orbit refinements apply.
-    #: ``"interchangeable"``: values are compared for equality only;
-    #: ``value_relabel`` then carries the relabeler the canonicalizer
-    #: drives (see :class:`SlotValueRelabeler`).  Declaring a spec
-    #: interchangeable when its algorithm computes *with* the values is
-    #: unsound; the n<=3 differential suite is the arbiter.
-    value_symmetry: str = "pinned"
+    #: The relabeler the canonicalizer drives (see
+    #: :class:`SlotValueRelabeler`), for specs whose oracle values are
+    #: interchangeable: compared for equality only.  None (the default)
+    #: pins the values: they feed arithmetic or carry semantics, and only
+    #: the relabeling-free orbit refinements apply.  A relabeler on a
+    #: spec whose algorithm computes *with* the values is unsound; the
+    #: n<=3 differential suite is the arbiter.
     value_relabel: Any = None
 
 
@@ -964,7 +927,7 @@ class SlotValueRelabeler:
     acquired names (``_nth_free_name`` rank arithmetic over the snapshot),
     so a name permutation does not commute with the algorithm — e.g. with
     names {1,3} taken, swapping 1 and 3 changes which name is "first
-    free".  Those specs stay ``pinned``.
+    free".  Those specs declare no relabeler: their values stay pinned.
     """
 
     def __init__(self, oracle: str):
@@ -1047,7 +1010,6 @@ register_spec(
         task_factory=_renaming_task,
         algorithm_factory=_renaming_algorithm,
         system_factory=_renaming_system,
-        value_symmetry="interchangeable",
         value_relabel=SlotValueRelabeler(oracle="KS"),
     )
 )
