@@ -63,6 +63,7 @@ knobs) defined once as named argument groups.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -1408,6 +1409,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Batch commands run with the cyclic collector paused: reference
+    # counting frees the program's own (acyclic) structures at once, and
+    # a full collection over a big working set finds nothing to free.
+    # Only reference cycles wait, and only until the command returns.
+    # `serve` runs until stopped and its asyncio request path makes
+    # cycles, so it keeps the collector.
+    pause = args.command != "serve" and gc.isenabled()
+    if pause:
+        gc.disable()
     try:
         return args.handler(args)
     except BrokenPipeError:
@@ -1418,6 +1428,9 @@ def main(argv: list[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        if pause:
+            gc.enable()
 
 
 if __name__ == "__main__":

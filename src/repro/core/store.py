@@ -1,11 +1,12 @@
 """Memoized family store: compute each ``<n, m, -, ->`` family once.
 
-Every structural artifact — the atlas, Table 1, Figure 1, the census, the
-benchmarks — walks whole families of symmetric GSB tasks.  Before this
-module each walk re-derived everything (``analysis/atlas.py`` rebuilt and
-linearly scanned the family to find a single row); the store computes a
-family's annotated entries exactly once per process and hands out O(1)
-views from then on:
+The per-family reports — the atlas, Table 1, Figure 1, their JSON
+exports, the ``repro.core.family`` API — show every row of a family of
+symmetric GSB tasks, annotated.  Before this module each report
+re-derived everything (``analysis/atlas.py`` rebuilt and linearly
+scanned the family to find a single row); the store computes a family's
+annotated entries exactly once per process and hands out O(1) views from
+then on:
 
 * :meth:`FamilyStore.entries` — the annotated rows, in Table 1 order;
 * :meth:`FamilyStore.entry` — dict-indexed ``(l, u)`` lookup (``KeyError``
@@ -16,10 +17,12 @@ views from then on:
 Entries share the kernel lattice of :func:`repro.core.kernel.kernel_vectors`:
 one master enumeration of the loosest ``<n, m, 0, n>`` set per family, with
 every tighter kernel set a slice of one filter over it.  The module-level
-store returned by :func:`get_store` is process-wide; worker processes of
-the parallel census each prime their own copy.  Records are kept until
-:func:`clear_family_store` — the working set of any realistic sweep (a few
-thousand families) is far smaller than a single exploration transcript.
+store returned by :func:`get_store` is process-wide, and records are kept
+until :func:`clear_family_store`.  A record holds a task object, a kernel
+set and a classification per feasible pair, so the rectangle-wide sweeps
+do not build records: the census counts from closed forms, and
+:func:`repro.universe.graph.build_cell` works on feasible pairs,
+canonical pairs and kernel bitmasks.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ Semantics notes (all verified by the differential suite in
 from __future__ import annotations
 
 from copy import deepcopy as _deepcopy
+from functools import partial
 from itertools import chain, filterfalse
 from typing import Any, Mapping, Sequence
 
@@ -1123,14 +1124,18 @@ class ValueCanonicalizer:
                 f"{program.oracle_names}"
             )
         self._oracle = program._oracle_index[relabel.oracle]
+        # The lazy tables below are filled by factories over the program
+        # and the relabeler, never over ``self``: a table that captured
+        # its canonicalizer would keep it, and the step table, alive in a
+        # reference cycle after the exploration ends.
         #: node -> chronological tuple of oracle values its history holds
-        self._node_values = _Lazy(self._values_at)
+        self._node_values = _NodeValues(program, relabel)
         #: cell -> oracle values stored in it
         self._cell_values = _Lazy(relabel.cell_values)
         #: (committed vector, values handed out) -> values still pending
         self._pending = _Lazy(lambda vh: frozenset(vh[0][vh[1] :]))
         #: free-value order -> its relabeling (None: already canonical)
-        self._tables = _Lazy(self._relabeling)
+        self._tables = _Lazy(partial(_relabeling, program, relabel))
 
     def canonical(
         self, key: tuple | None, values: tuple
@@ -1170,56 +1175,82 @@ class ValueCanonicalizer:
             table,
         )
 
-    def _relabeling(self, free: tuple) -> Relabeling | None:
-        mapping = {
-            src: dst for src, dst in zip(free, sorted(free)) if src != dst
-        }
-        if not mapping:
-            return None
-        inverse = {dst: src for src, dst in mapping.items()}
-        map_cell, map_output = self.relabel.map_cell, self.relabel.map_output
-        table = Relabeling(inverse)
-        table.nodes = _Lazy(
-            lambda node: node if node < 0 else self._canonical_node(node, mapping)
-        )
-        table.cells = _Lazy(lambda cell: map_cell(cell, mapping))
-        table.to_canonical = _Lazy(
-            lambda suffix: tuple(map_output(v, mapping) for v in suffix)
-        )
-        table.to_state = _Lazy(
-            lambda suffix: tuple(map_output(v, inverse) for v in suffix)
-        )
-        return table
-
     def _values_at(self, node: int) -> tuple:
         """Oracle values a live process at ``node`` has observed, in
         chronological order (none for a decided or crashed process)."""
-        parent = -1 if node < 0 else self.program.parents[node]
-        if parent < 0:
-            return ()
-        return self._node_values[parent] + tuple(
-            self.relabel.result_values(
-                self.program.ops[parent], self.program.sent[node]
-            )
-        )
+        return self._node_values[node]
 
-    def _canonical_node(self, node: int, mapping: dict) -> int:
-        program = self.program
-        path: list[int] = []
-        cursor = node
-        while cursor >= 0:
-            path.append(cursor)
-            cursor = program.parents[cursor]
-        path.reverse()
-        relabel = self.relabel
-        current = path[0]  # the root: no history to relabel
-        for successor in path[1:]:
-            parent = current
-            result = relabel.map_result(
-                program.ops[parent], program.sent[successor], mapping
+
+class _NodeValues(dict):
+    """node -> the oracle values its history holds, filled on first use
+    from the parent's entry (see :meth:`ValueCanonicalizer._values_at`)."""
+
+    __slots__ = ("_program", "_relabel")
+
+    def __init__(self, program: CompiledProtocol, relabel: Any):
+        super().__init__()
+        self._program = program
+        self._relabel = relabel
+
+    def __missing__(self, node: int) -> tuple:
+        program = self._program
+        parent = -1 if node < 0 else program.parents[node]
+        if parent < 0:
+            values = ()
+        else:
+            values = self[parent] + tuple(
+                self._relabel.result_values(
+                    program.ops[parent], program.sent[node]
+                )
             )
-            child = program.edges[parent].get(result)
-            if child is None:
-                child = program.extend(parent, result, result)
-            current = child
-        return current
+        self[node] = values
+        return values
+
+
+def _relabeling(
+    program: CompiledProtocol, relabel: Any, free: tuple
+) -> Relabeling | None:
+    """The :class:`Relabeling` of one free-value order (None for the
+    identity), with its images filled lazily."""
+    mapping = {
+        src: dst for src, dst in zip(free, sorted(free)) if src != dst
+    }
+    if not mapping:
+        return None
+    inverse = {dst: src for src, dst in mapping.items()}
+    map_cell, map_output = relabel.map_cell, relabel.map_output
+    route = partial(_canonical_node, program, relabel, mapping)
+    table = Relabeling(inverse)
+    table.nodes = _Lazy(lambda node: node if node < 0 else route(node))
+    table.cells = _Lazy(lambda cell: map_cell(cell, mapping))
+    table.to_canonical = _Lazy(
+        lambda suffix: tuple(map_output(v, mapping) for v in suffix)
+    )
+    table.to_state = _Lazy(
+        lambda suffix: tuple(map_output(v, inverse) for v in suffix)
+    )
+    return table
+
+
+def _canonical_node(
+    program: CompiledProtocol, relabel: Any, mapping: dict, node: int
+) -> int:
+    """The node reached by walking ``node``'s result history, relabeled
+    under ``mapping``, from the root (tracing on demand)."""
+    path: list[int] = []
+    cursor = node
+    while cursor >= 0:
+        path.append(cursor)
+        cursor = program.parents[cursor]
+    path.reverse()
+    current = path[0]  # the root: no history to relabel
+    for successor in path[1:]:
+        parent = current
+        result = relabel.map_result(
+            program.ops[parent], program.sent[successor], mapping
+        )
+        child = program.edges[parent].get(result)
+        if child is None:
+            child = program.extend(parent, result, result)
+        current = child
+    return current

@@ -407,13 +407,17 @@ class PrefixSharingEngine:
         if relabeler is not None:
             from .compiled import ValueCanonicalizer
 
-            program = root.program
-            canon = getattr(program, "_engine_canonicalizer", None)
-            if canon is None or canon.relabel is not relabeler:
-                canon = ValueCanonicalizer(program, relabeler)
-                # Cache on the shared program: canonical-node routing is
-                # reusable across every exploration of this step table.
-                program._engine_canonicalizer = canon
+            # The factory that owns the step table keeps its canonicalizers
+            # (:func:`make_spec_machine`): canonical-node routing is
+            # reusable across every exploration of the table.  The table
+            # itself must not hold one; the canonicalizer points back at
+            # it, and the pair would outlive the exploration in a cycle.
+            cache = getattr(self._make, "canonicalizers", {})
+            canon = cache.get(relabeler)
+            if canon is None:
+                canon = cache[relabeler] = ValueCanonicalizer(
+                    root.program, relabeler
+                )
             canonical = canon.canonical
             values = root._oracle_values[canon._oracle]
         still = type(root).STILL_RUNNING
@@ -1092,7 +1096,9 @@ def make_spec_machine(
     understanding the algorithm is paid once, after which forks are array
     copies and state keys are packed tuples.  The shared program is
     exposed as ``factory.program`` (the parallel path exports it to pool
-    workers).  ``frame_nodes`` turns on local-state node merging in the
+    workers), and ``factory.canonicalizers`` caches one
+    :class:`repro.shm.compiled.ValueCanonicalizer` per relabeler for the
+    engine.  ``frame_nodes`` turns on local-state node merging in the
     step table (the quotient's history → local-state collapse).
     """
     from .compiled import CompiledProtocol
@@ -1115,6 +1121,7 @@ def make_spec_machine(
         )
 
     make_machine.program = program
+    make_machine.canonicalizers = {}
     return make_machine
 
 

@@ -262,6 +262,8 @@ def _subtree_job(
             machine.step(pid)
         return machine
 
+    # Shards on this worker share the factory's canonicalizers.
+    make_subtree.canonicalizers = getattr(factory, "canonicalizers", {})
     engine = PrefixSharingEngine(
         make_subtree,
         max_runs=options.get("max_runs"),

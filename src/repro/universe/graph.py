@@ -54,13 +54,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..core.bounds import GSBSpecificationError
 from ..core.canonical import canonical_parameters
-from ..core.feasibility import is_feasible_symmetric
+from ..core.feasibility import feasible_bound_pairs, is_feasible_symmetric
 from ..core.gsb import GSBTask, SymmetricGSBTask
 # kernel_bitmasks lives in core.order (it only needs the kernel lattice)
 # and is re-exported here: the universe builds on the same masks that
 # power containment_digraph.
 from ..core.order import hardest_parameters, kernel_bitmasks, mask_covers
-from ..core.store import get_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import networkx as nx
@@ -168,39 +167,37 @@ def _family_labels(n: int, m: int) -> dict[tuple[int, int], tuple[str, ...]]:
 def build_cell(n: int, m: int) -> UniverseCell:
     """Materialize one family's synonym classes and cover edges.
 
-    Rides the memoized family store for entries and the kernel lattice
-    for masks; the containment covers are computed on bitsets, so the
-    cell's edge set *is* the family's Figure-1 Hasse diagram.
-    Verdicts come from the structural decision tiers (certified closed
-    forms plus value padding), and every non-OPEN node carries its
-    certificate id with the payload stored on the cell.
+    Works on parameters and bitmasks alone: the feasible ``(l, u)``
+    pairs are grouped by their Theorem-7 canonical pair, the canonical
+    pairs are ordered as Table 1 lists them, and each node's kernel-set
+    mask over the family's master columns comes from the kernel lattice.
+    A mask is the kernel set's indicator, so its popcount is the set's
+    size; no task object or kernel set is built.  The containment
+    covers are computed on the same bitsets, so the cell's edge set
+    *is* the family's Figure-1 Hasse diagram.  Verdicts come from the
+    structural decision tiers (certified closed forms plus value
+    padding), and every non-OPEN node carries its certificate id with
+    the payload stored on the cell.
     """
     # Imported lazily: the decision package sits above core and below the
     # universe in the layer order, and only cell *construction* needs it.
     from ..decision.procedures import structural_verdict
 
-    record = get_store().family(n, m)
-    # Masks are only needed per node; synonyms share their canonical
-    # representative's kernel set, so non-canonical pairs are skipped.
-    masks = kernel_bitmasks(
-        n,
-        m,
-        [
-            (entry.parameters[2], entry.parameters[3])
-            for entry in record.canonical_entries
-        ],
-    )
     synonyms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for entry in record.entries:
-        low, high = entry.parameters[2], entry.parameters[3]
-        synonyms.setdefault(entry.canonical_parameters, []).append((low, high))
+    for low, high in feasible_bound_pairs(n, m):
+        synonyms.setdefault(
+            canonical_parameters(n, m, low, high), []
+        ).append((low, high))
+    # Table 1 order: decreasing upper bound, then increasing lower bound.
+    pairs = sorted(synonyms, key=lambda pair: (-pair[1], pair[0]))
+    masks = kernel_bitmasks(n, m, pairs)
     labels = _family_labels(n, m)
     hardest_pair = hardest_parameters(n, m)
 
     nodes = []
     certificates: dict[str, dict] = {}
-    for entry in record.canonical_entries:
-        low, high = entry.parameters[2], entry.parameters[3]
+    for low, high in pairs:
+        mask = masks[(low, high)]
         verdict = structural_verdict(n, m, low, high)
         certificate_id = ""
         if verdict.certificate is not None:
@@ -211,10 +208,10 @@ def build_cell(n: int, m: int) -> UniverseCell:
                 key=(n, m, low, high),
                 solvability=verdict.solvability.value,
                 reason=verdict.reason,
-                kernel_count=len(entry.kernel_set),
+                kernel_count=mask.bit_count(),
                 synonyms=tuple(sorted(synonyms[(low, high)])),
                 labels=labels.get((low, high), ()),
-                mask=masks[(low, high)],
+                mask=mask,
                 hardest=(low, high) == hardest_pair,
                 certificate_id=certificate_id,
             )

@@ -17,9 +17,10 @@ Parallel builds ride the census LPT sharding
 (:func:`repro.analysis.census.partition_cells`): missing cells are
 balanced over a process pool by the same ``n**2 * m`` cost estimate, each
 shard processed in ascending ``(n, m)`` order so the worker's
-process-local caches (kernel masters, classification, family store) are
-primed by the small cells.  Workers return plain JSON payloads; all file
-writes happen in the parent.
+process-local classification caches (the closed forms that value
+padding consults across families) are primed by the small cells.
+Workers return plain JSON payloads; all file writes happen in the
+parent.
 
 Beyond the cells, a store carries the decision pipeline's persistent
 state:
@@ -157,7 +158,7 @@ def cell_from_payload(payload: dict) -> UniverseCell:
 
 
 def _build_cell_shard(cells: list[tuple[int, int]]) -> list[dict]:
-    """Worker entry point: payloads for one shard, caches primed by order."""
+    """Worker entry point: the payloads of one shard's cells, in order."""
     return [cell_to_payload(build_cell(n, m)) for n, m in cells]
 
 

@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import gc
 import json
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
 
 
@@ -392,3 +395,99 @@ class TestExploreCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["violations"] > 0
         assert payload["failures"] == 0
+
+
+@pytest.fixture
+def collector():
+    """Start with the cyclic collector on, and leave it on."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+def _patch_handler(monkeypatch, name, handler):
+    """Route one top-level command to ``handler`` through the real parser."""
+    monkeypatch.setattr(
+        cli,
+        "COMMANDS",
+        tuple(
+            dataclasses.replace(command, handler=handler)
+            if command.name == name
+            else command
+            for command in cli.COMMANDS
+        ),
+    )
+
+
+class TestCollectorPause:
+    """Batch commands run with the cyclic collector paused."""
+
+    def test_batch_commands_leave_no_repro_cycles(self, collector, tmp_path):
+        # The premise of the pause: the program's own structures are
+        # acyclic, so reference counting frees them and a paused collector
+        # only delays other libraries' cycles until the command returns.
+        store = str(tmp_path / "store")
+        commands = [
+            ["universe", "build", "--max-n", "6", "--max-m", "3",
+             "--close-open", "--budget", "1000", "--dir", store],
+            ["sweep", "run", "--workers", "0", "--max-n", "3",
+             "--sweep-rounds", "1", "--dir", store],
+            ["universe", "pack", "--dir", store],
+            ["universe", "check", "--dir", store],
+            ["explore", "--tasks", "all", "--n", "3"],
+        ]
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv in commands:
+                assert main(argv) == 0, argv
+                assert gc.isenabled(), argv
+            gc.collect()
+            leaked = sorted(
+                {
+                    f"{type(obj).__module__}.{type(obj).__qualname__}"
+                    for obj in gc.garbage
+                    if type(obj).__module__.startswith("repro.")
+                }
+            )
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []
+
+    def test_batch_handler_runs_with_collector_off(
+        self, collector, monkeypatch
+    ):
+        seen = []
+        _patch_handler(
+            monkeypatch, "binomials", lambda args: seen.append(gc.isenabled())
+        )
+        main(["binomials"])
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_serve_keeps_the_collector(self, collector, monkeypatch):
+        seen = []
+        _patch_handler(
+            monkeypatch, "serve", lambda args: seen.append(gc.isenabled())
+        )
+        main(["serve", "--port", "0"])
+        assert seen == [True]
+        assert gc.isenabled()
+
+    def test_raising_handler_restores_the_collector(
+        self, collector, monkeypatch
+    ):
+        def fail(args):
+            raise RuntimeError("handler failed")
+
+        _patch_handler(monkeypatch, "binomials", fail)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["binomials"])
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self, collector):
+        gc.disable()
+        assert main(["binomials", "--max-n", "4"]) == 0
+        assert not gc.isenabled()

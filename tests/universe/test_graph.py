@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.analysis import PAPER_FIGURE1_EDGES, PAPER_FIGURE1_NODES
 from repro.core import SymmetricGSBTask, classify_parameters, feasible_bound_pairs
+from repro.core.cache_config import cache_stats, clear_all_caches
 from repro.core.kernel import kernel_vectors
 from repro.core.order import mask_covers
+from repro.core.store import FamilyStore, clear_family_store, get_store
 from repro.universe import (
     EDGE_CONTAINMENT,
     EDGE_REDUCTION,
@@ -109,6 +111,43 @@ class TestBuildCell:
         assert [(e.source, e.target) for e in cell.edges] == sorted(
             _reference_covers({node.key: node.mask for node in cell.nodes})
         )
+
+
+class TestCellsFromParameters:
+    """Cells are built from feasible pairs, canonical pairs and masks;
+    the family store's annotated entries are the reference."""
+
+    def test_cells_match_the_family_store(self):
+        store = FamilyStore()  # private: the process-wide one stays empty
+        for n, m in [*rectangle_cells(40, 6), (12, 13)]:
+            canonical = store.canonical_entries(n, m)
+            synonyms: dict = {}
+            for entry in store.entries(n, m):
+                synonyms.setdefault(entry.canonical_parameters, []).append(
+                    entry.parameters[2:]
+                )
+            expected = [
+                (
+                    entry.parameters,
+                    tuple(sorted(synonyms[entry.parameters[2:]])),
+                    len(entry.kernel_set),
+                )
+                for entry in canonical
+            ]
+            actual = [
+                (node.key, node.synonyms, node.kernel_count)
+                for node in build_cell(n, m).nodes
+            ]
+            assert actual == expected, (n, m)
+
+    def test_building_cells_leaves_no_family_records(self):
+        clear_family_store()
+        clear_all_caches()
+        for n, m in rectangle_cells(20, 6):
+            build_cell(n, m)
+        assert get_store().cache_info()["families"] == 0
+        # One master column list per family, and no per-pair kernel set.
+        assert cache_stats()["kernel.kernel_sets"]["size"] == 120
 
 
 def _reference_covers(masks: dict) -> set:
