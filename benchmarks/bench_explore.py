@@ -9,8 +9,6 @@ acceptance run:
 * the full registry battery at n <= 3 on the compiled core;
 * the wsb-grh n=3 exploration (register-contention-heavy, the deepest
   n=3 workload);
-* subtree-parallel sharding equivalence (serial shards: pool spin-up is
-  not what this suite times);
 * the tier-4 decision-map replay protocol at n=3 on the compiled core;
 * the value-symmetry orbit quotient at n=4 (the optimisation that opens
   n=5), plus an opt-in n=5 smoke (``EXPLORE_N5_SMOKE=1``) mirroring the
@@ -19,18 +17,9 @@ acceptance run:
 
 import os
 
-from collections import Counter
-
 import pytest
 
-from repro.shm import (
-    PrefixSharingEngine,
-    explore_decided_parallel,
-    explore_many,
-    explore_one,
-    get_spec,
-    make_spec_machine,
-)
+from repro.shm import explore_many, explore_one
 
 #: (runs, distinct) the registry battery must reproduce at each size.
 EXPECTED = {
@@ -66,20 +55,6 @@ def bench_explore_wsb_grh_n3_compiled(benchmark):
     result = benchmark(explore_one, "wsb-grh", 3)
     assert (result.runs, result.distinct) == (39330, 9)
     assert result.violations == 0
-
-
-def bench_explore_subtree_shards(benchmark):
-    """Sharded exploration, serial shards (pure sharding overhead)."""
-    serial = PrefixSharingEngine(
-        make_spec_machine(get_spec("renaming"), 3)
-    ).decided_vectors()
-
-    def sharded() -> Counter:
-        return explore_decided_parallel(
-            "renaming", 3, jobs=0, shard_depth=2
-        ).decisions
-
-    assert benchmark(sharded) == serial
 
 
 def bench_explore_wsb_grh_n4_quotient(benchmark):

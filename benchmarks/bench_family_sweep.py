@@ -66,7 +66,7 @@ def bench_store_cold_family(benchmark):
 def bench_store_warm_lookups(benchmark):
     """Dict-indexed entry lookups after the family is cached."""
     store = FamilyStore()
-    store.prime([(12, 4)])
+    store.family(12, 4)
     pairs = [entry.parameters[2:] for entry in store.entries(12, 4)]
 
     def lookups():

@@ -1,8 +1,10 @@
-"""Legacy setup shim.
+"""Setuptools shim for offline installs.
 
-The execution environment has no ``wheel`` package and no network, so PEP
-517 editable installs cannot build; this shim lets ``pip install -e .``
-fall back to ``setup.py develop``.  All metadata lives in pyproject.toml.
+All metadata lives in pyproject.toml.  Without network access pip cannot
+fetch a build backend for an isolated build, so install in development
+mode with the setuptools already present::
+
+    python setup.py develop --no-deps
 """
 
 from setuptools import setup

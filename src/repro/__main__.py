@@ -749,19 +749,14 @@ def _cmd_explore(args) -> int:
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    subtree = args.shard_depth is not None
     started = _time.perf_counter()
     try:
         results = explore_many(
             names,
             args.n,
-            executor="process" if args.jobs and not subtree else None,
-            max_workers=args.jobs or None,
             memoize=not args.no_memo,
             max_runs=args.max_runs,
             core=args.core,
-            subtree_jobs=args.jobs if subtree else 0,
-            shard_depth=args.shard_depth,
             quotient=args.quotient == "on",
         )
     except ExplorationBudgetExceeded as error:
@@ -779,8 +774,6 @@ def _cmd_explore(args) -> int:
             "tasks": names,
             "n": list(args.n),
             "core": args.core,
-            "jobs": args.jobs,
-            "shard_depth": args.shard_depth,
             "memoize": not args.no_memo,
             "quotient": args.quotient == "on",
             "total_seconds": total_seconds,
@@ -1314,27 +1307,11 @@ COMMANDS: tuple[Command, ...] = (
             ),
             arg("--n", type=int, nargs="+", default=[2, 3], help="system sizes"),
             arg(
-                "--jobs",
-                type=int,
-                default=0,
-                help="fan out on a process pool with this many workers "
-                "(0 = serial); with --shard-depth the workers split one "
-                "exploration's subtrees instead of whole (task, n) cells",
-            ),
-            arg(
                 "--core",
                 choices=["compiled", "generator"],
                 default="compiled",
                 help="runtime core: compiled step-table machines (default) "
                 "or the reference generator runtime",
-            ),
-            arg(
-                "--shard-depth",
-                type=int,
-                default=None,
-                metavar="D",
-                help="shard each exploration's DFS frontier at depth D "
-                "across the --jobs workers (subtree-level parallelism)",
             ),
             arg(
                 "--max-runs",

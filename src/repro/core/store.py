@@ -144,11 +144,6 @@ class FamilyStore:
             },
         }
 
-    def prime(self, cells: list[tuple[int, int]]) -> None:
-        """Eagerly compute a batch of families (cache priming for sweeps)."""
-        for n, m in cells:
-            self.family(n, m)
-
     def cache_info(self) -> dict[str, int]:
         """Hit/miss statistics, mirroring ``lru_cache``'s counters."""
         with self._lock:

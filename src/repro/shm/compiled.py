@@ -87,7 +87,6 @@ _TABLE_TOTALS = {
     "nodes": 0,  # local states traced (post frame-merging)
     "replays": 0,  # generator replays paid to trace them
     "frame_merges": 0,  # history-trie nodes collapsed by frame signatures
-    "table_imports": 0,  # pre-traced tables adopted by pool workers
 }
 
 
@@ -112,10 +111,6 @@ _register_table_counters()
 #: Program-counter sentinels (any non-negative value is a step-table node).
 DECIDED = -1
 CRASHED = -2
-
-#: Cache-miss marker for :meth:`CompiledProtocol.stable_pc` (None is a
-#: legitimate cached value there).
-_UNTOKENED = object()
 
 #: Packed opcodes of the step table's execution entries.
 _OP_WRITE = 0  # (code, cell, frozen value)
@@ -279,13 +274,6 @@ class CompiledProtocol:
         #: shapes, unfreezable locals) silently keep trie identity.
         self.frame_nodes = frame_nodes
         self._absmap: dict[Any, int] = {}
-        self._node_sig: dict[int, Any] = {}  #: node -> frame signature
-        self._stable_tokens: dict[int, bytes | None] = {}
-        #: Node-count prefix shared with other processes via
-        #: export/import (0 = nothing shared): ids below this bound mean
-        #: the same local state in every process that imported the same
-        #: table, which is what lets orbit-memo entries travel.
-        self.shared_prefix = 0
         _TABLE_TOTALS["programs"] += 1
         self.roots: list[int] = [self._trace_root(pid) for pid in range(n)]
 
@@ -348,7 +336,6 @@ class CompiledProtocol:
             self.edges[parent][key] = node
         if signature is not None:
             self._absmap[signature] = node
-            self._node_sig[node] = signature
         _TABLE_TOTALS["nodes"] += 1
         return node
 
@@ -447,99 +434,6 @@ class CompiledProtocol:
         self.edges[parent][key] = existing
         _TABLE_TOTALS["frame_merges"] += 1
         return existing
-
-    # -- table shipping (parent pre-trace -> pool workers) ---------------
-
-    def table_signature(self) -> tuple:
-        """Structural identity two programs must share to swap tables."""
-        return (
-            self.n,
-            self.identities,
-            self.layout.signature(),
-            tuple(self.oracle_names),
-            tuple(self.generic_names),
-            self.frame_nodes,
-        )
-
-    def export_table(self) -> dict:
-        """Picklable snapshot of the traced step table.
-
-        Ships node data only — the algorithm's closures stay behind;
-        the importer marries the data to its own (identically-built)
-        program.  Frame signatures travel too (code objects are named by
-        stable tokens, see :func:`repro.shm.localstate.code_token`), so
-        importers keep merging new states consistently.
-        """
-        return {
-            "signature": self.table_signature(),
-            "ops": list(self.ops),
-            "exec_table": list(self.exec_table),
-            "decisions": list(self.decisions),
-            "edges": [dict(edge) for edge in self.edges],
-            "parents": list(self.parents),
-            "sent": list(self.sent),
-            "pids": list(self.pids),
-            "roots": list(self.roots),
-            "absmap": dict(self._absmap),
-        }
-
-    def import_table(self, data: Mapping[str, Any]) -> bool:
-        """Adopt a pre-traced table exported by an identical program.
-
-        Returns False (leaving this program untouched) when the export
-        does not structurally match — the caller keeps its own lazily
-        traced table, which is always correct, just colder.
-        """
-        if data.get("signature") != self.table_signature():
-            return False
-        if list(data["roots"]) != self.roots:
-            return False
-        if len(data["ops"]) < len(self.ops):
-            return False
-        self.ops = list(data["ops"])
-        self.exec_table = list(data["exec_table"])
-        self.decisions = list(data["decisions"])
-        self.edges = [dict(edge) for edge in data["edges"]]
-        self.parents = list(data["parents"])
-        self.sent = list(data["sent"])
-        self.pids = list(data["pids"])
-        self._absmap = dict(data["absmap"])
-        self._node_sig = {node: sig for sig, node in self._absmap.items()}
-        self._stable_tokens = {}
-        self.shared_prefix = len(self.ops)
-        _TABLE_TOTALS["table_imports"] += 1
-        return True
-
-    def stable_pc(self, node: int) -> bytes | None:
-        """Process-stable 16-byte token of a node's *local state*.
-
-        Raw node ids are allocation order — two processes lazily tracing
-        the same program in different exploration orders number the same
-        local state differently, so ids cannot cross process boundaries.
-        Frame signatures can: they name the local state itself (code
-        token + offset + live locals), so their digest is the travel-safe
-        program counter the cross-worker orbit memo keys on.  None means
-        the node has no sound signature (``frame_nodes`` off, or the
-        analysis bailed) and keys containing it must stay process-local.
-        """
-        token = self._stable_tokens.get(node, _UNTOKENED)
-        if token is not _UNTOKENED:
-            return token
-        signature = self._node_sig.get(node)
-        if signature is None:
-            token = None
-        else:
-            import pickle
-            from hashlib import blake2b
-
-            try:
-                blob = pickle.dumps(signature, protocol=4)
-            except Exception:
-                token = None
-            else:
-                token = blake2b(blob, digest_size=16).digest()
-        self._stable_tokens[node] = token
-        return token
 
     # -- packing --------------------------------------------------------
 

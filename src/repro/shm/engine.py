@@ -29,9 +29,7 @@ n <= 3.  This engine turns exploration into a real search procedure:
   weighted by its class size C(n, s).
 
 * **Batching** — :func:`explore_many` runs a battery of named exploration
-  tasks across a range of system sizes, optionally on a multiprocess
-  executor (jobs are dispatched by registry name, so nothing unpicklable
-  crosses the process boundary).
+  tasks across a range of system sizes, one exploration after another.
 
 The engine is runtime-polymorphic: it drives anything exposing the small
 ``fork``/``step``/``state_key``/``enabled_pids``/``outputs``/``result``
@@ -46,9 +44,7 @@ surface.  Two cores implement it:
   (:func:`make_spec_runtime`), kept as the oracle the compiled core is
   differentially tested against (``core="generator"``).
 
-Single explorations can additionally shard their DFS frontier across a
-process pool (:mod:`repro.shm.parallel`; ``jobs``/``shard_depth`` on
-:func:`explore_one`).  The legacy prefix re-execution explorer remains in
+The legacy prefix re-execution explorer remains in
 :mod:`repro.shm.explore` (``engine=False``).
 """
 
@@ -56,7 +52,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
@@ -126,18 +121,6 @@ class EngineStats:
     orbit_hits: int = 0  #: subtrees served from the orbit memo
     lex_pruned: int = 0  #: branches pruned by the pre-fork orbit probe
 
-    def merge(self, other: "EngineStats") -> None:
-        self.nodes += other.nodes
-        self.runs += other.runs
-        self.forks += other.forks
-        self.memo_hits += other.memo_hits
-        self.memo_entries += other.memo_entries
-        self.subsets_pruned += other.subsets_pruned
-        self.peak_stack = max(self.peak_stack, other.peak_stack)
-        self.orbits += other.orbits
-        self.orbit_hits += other.orbit_hits
-        self.lex_pruned += other.lex_pruned
-
     def to_json(self) -> dict:
         """Counter dict for the CLI's ``--json`` payloads."""
         return {
@@ -175,13 +158,6 @@ class PrefixSharingEngine:
         relabeler: the spec's declared value-relabeling group
             (:attr:`ExplorationSpec.value_relabel`); None means only the
             relabeling-free orbit refinements apply.
-        orbit_memo: optional externally shared orbit-memo dict.  Sharing
-            is sound only between explorations of the **same participant
-            set** (orbit keys do not encode ``participants``) — the
-            subtree-sharding path satisfies this, subset sweeps must not.
-        shared_memo: optional cross-process orbit exchange exposing
-            ``get(key)`` / ``offer(key, entry)``
-            (:class:`repro.shm.memoshare.SharedOrbitMemo`).
     """
 
     def __init__(
@@ -193,8 +169,6 @@ class PrefixSharingEngine:
         stats: EngineStats | None = None,
         quotient: bool = False,
         relabeler: Any = None,
-        orbit_memo: dict | None = None,
-        shared_memo: Any = None,
     ):
         self._make = make_runtime
         self.participants = (
@@ -205,8 +179,6 @@ class PrefixSharingEngine:
         self.stats = stats if stats is not None else EngineStats()
         self.quotient = quotient
         self.relabeler = relabeler
-        self.orbit_memo = orbit_memo
-        self.shared_memo = shared_memo
 
     # ------------------------------------------------------------------
     # Exact mode: the drop-in replacement for the legacy explorer
@@ -395,10 +367,8 @@ class PrefixSharingEngine:
         forward-mapped only when the frame was relabeled.  Full output
         vectors are built once, at the root.
         """
-        memo: dict[Any, tuple] = (
-            self.orbit_memo if self.orbit_memo is not None else {}
-        )
-        shared = self.shared_memo
+        memo: dict[Any, tuple] = {}
+        lookup = memo.get
         allowed = self._allowed(root)
         self._check_depth(root)
 
@@ -430,14 +400,6 @@ class PrefixSharingEngine:
         # Hot-loop counters stay locals; folded into stats in `finally`.
         nodes_l = runs_l = forks_l = hits_l = entries_l = 0
         orbits_l = lex_l = peak_l = 0
-
-        def lookup(key):
-            entry = memo.get(key)
-            if entry is None and shared is not None and key is not None:
-                entry = shared.get(key)
-                if entry is not None:
-                    memo[key] = entry
-            return entry
 
         def canonize(key):
             """The memo key and relabeling of a raw orbit key."""
@@ -510,12 +472,9 @@ class PrefixSharingEngine:
                                 zip(map(table.to_canonical.__getitem__, acc),
                                     acc.values())
                             )
-                        entry = (branches, acc)
-                        memo[key] = entry
+                        memo[key] = (branches, acc)
                         entries_l += 1
                         orbits_l += 1
-                        if shared is not None:
-                            shared.offer(key, entry)
                     if stack:
                         join(stack[-1][3], frame[3], None, frame[6], frame[7])
                     continue
@@ -795,8 +754,7 @@ def available_specs() -> list[str]:
 
 
 # -- built-in specs.  Factories import lazily (engine sits below
-# repro.algorithms in the layer order) and are module-level functions so a
-# multiprocess executor can rebuild them from the registry name alone.
+# repro.algorithms in the layer order).
 
 def _wsb_task(n: int):
     from ..core.named import weak_symmetry_breaking
@@ -1035,7 +993,6 @@ class BatchResult:
     seconds: float
     stats: EngineStats
     core: str = "compiled"  #: runtime core the exploration ran on
-    shards: int = 0  #: subtree shards (0 = one serial exploration)
     quotient: bool = False  #: value-symmetry orbit quotient was active
 
     def __str__(self) -> str:
@@ -1056,7 +1013,6 @@ class BatchResult:
             "distinct": self.distinct,
             "violations": self.violations,
             "seconds": self.seconds,
-            "shards": self.shards,
             "quotient": self.quotient,
             "stats": self.stats.to_json(),
         }
@@ -1095,11 +1051,11 @@ def make_spec_machine(
     produces — the point of the compiled core: the per-exploration cost of
     understanding the algorithm is paid once, after which forks are array
     copies and state keys are packed tuples.  The shared program is
-    exposed as ``factory.program`` (the parallel path exports it to pool
-    workers), and ``factory.canonicalizers`` caches one
-    :class:`repro.shm.compiled.ValueCanonicalizer` per relabeler for the
-    engine.  ``frame_nodes`` turns on local-state node merging in the
-    step table (the quotient's history → local-state collapse).
+    exposed as ``factory.program``, and ``factory.canonicalizers``
+    caches one :class:`repro.shm.compiled.ValueCanonicalizer` per
+    relabeler for the engine.  ``frame_nodes`` turns on local-state node
+    merging in the step table (the quotient's history → local-state
+    collapse).
     """
     from .compiled import CompiledProtocol
 
@@ -1145,8 +1101,6 @@ def explore_one(
     max_runs: int | None = None,
     max_depth: int = 10_000,
     core: str = "compiled",
-    jobs: int = 0,
-    shard_depth: int | None = None,
     quotient: bool = True,
 ) -> BatchResult:
     """Explore one spec at one size and validate its decided vectors.
@@ -1154,12 +1108,6 @@ def explore_one(
     Args:
         core: ``"compiled"`` (array-backed step-table machines, the
             default) or ``"generator"`` (the reference runtime).
-        jobs: with ``jobs >= 2`` the DFS frontier is sharded at
-            ``shard_depth`` across a process pool
-            (:func:`repro.shm.parallel.explore_decided_parallel`) —
-            requires a registry-resolvable spec name.
-        shard_depth: frontier depth for the parallel path (default:
-            :func:`repro.shm.parallel.default_shard_depth`).
         quotient: memoize over value-symmetry orbits (default on; only
             effective on the compiled core with ``memoize`` — the
             generator core stays the exact reference).
@@ -1171,52 +1119,18 @@ def explore_one(
         raise ValueError(f"{spec.name} needs n >= {spec.min_n}, got {n}")
     task = spec.task_factory(n)
 
-    parallel = jobs >= 2 or shard_depth is not None
-    if parallel and (
-        spec.name not in _SPEC_REGISTRY or _SPEC_REGISTRY[spec.name] is not spec
-    ):
-        warnings.warn(
-            f"subtree-parallel exploration needs a registry-resolvable "
-            f"spec; {spec.name!r} is not (or not identically) registered — "
-            "falling back to one serial exploration",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        parallel = False
-
     effective_quotient = bool(quotient and memoize and core == "compiled")
     stats = EngineStats()
-    shards = 0
     started = time.perf_counter()
-    if parallel:
-        from .parallel import explore_decided_parallel
-
-        outcome = explore_decided_parallel(
-            spec.name,
-            n,
-            jobs=jobs,
-            shard_depth=shard_depth,
-            memoize=memoize,
-            max_runs=max_runs,
-            max_depth=max_depth,
-            core=core,
-            stats=stats,
-            quotient=effective_quotient,
-        )
-        decisions = outcome.decisions
-        shards = outcome.shards
-    else:
-        engine = PrefixSharingEngine(
-            spec_factory(spec, n, core, quotient=effective_quotient),
-            max_runs=max_runs,
-            max_depth=max_depth,
-            stats=stats,
-            quotient=effective_quotient,
-            relabeler=(
-                spec.value_relabel if effective_quotient else None
-            ),
-        )
-        decisions = engine.decided_vectors(memoize=memoize)
+    engine = PrefixSharingEngine(
+        spec_factory(spec, n, core, quotient=effective_quotient),
+        max_runs=max_runs,
+        max_depth=max_depth,
+        stats=stats,
+        quotient=effective_quotient,
+        relabeler=spec.value_relabel if effective_quotient else None,
+    )
+    decisions = engine.decided_vectors(memoize=memoize)
     seconds = time.perf_counter() - started
     identities = list(range(1, n + 1))
     violations = sum(
@@ -1233,105 +1147,45 @@ def explore_one(
         seconds=seconds,
         stats=stats,
         core=core,
-        shards=shards,
         quotient=effective_quotient,
     )
-
-
-def _explore_job(name: str, n: int, options: dict) -> BatchResult:
-    """Module-level worker for the multiprocess executor (picklable args)."""
-    return explore_one(get_spec(name), n, **options)
 
 
 def explore_many(
     tasks: Sequence[ExplorationSpec | str],
     n_range: Sequence[int],
-    executor: str | None = None,
-    max_workers: int | None = None,
     memoize: bool = True,
     max_runs: int | None = None,
     max_depth: int = 10_000,
     core: str = "compiled",
-    subtree_jobs: int = 0,
-    shard_depth: int | None = None,
     quotient: bool = True,
 ) -> list[BatchResult]:
-    """Explore a battery of tasks across system sizes.
+    """Explore a battery of tasks across system sizes, one at a time.
 
     Args:
-        tasks: registry names or :class:`ExplorationSpec` objects.
+        tasks: registry names or :class:`ExplorationSpec` objects.  Every
+            name is resolved before the first exploration runs, so an
+            unknown name fails before any work starts.
         n_range: system sizes; each (task, n) pair is one job.  Sizes below
             a spec's ``min_n`` are skipped.
-        executor: ``"process"`` fans whole (task, n) jobs out on a
-            :class:`concurrent.futures.ProcessPoolExecutor` — only jobs
-            named via the registry can cross the process boundary, any
-            others (and any executor failure) fall back to serial.
         core: runtime core every exploration runs on (``"compiled"`` /
             ``"generator"``).
-        subtree_jobs / shard_depth: with ``subtree_jobs >= 2`` each
-            exploration shards its own DFS frontier at ``shard_depth``
-            instead (:mod:`repro.shm.parallel`); mutually exclusive with
-            ``executor="process"`` (pools do not nest — the per-cell
-            executor is ignored in that case).
-        max_workers / memoize / max_runs / max_depth: passed through.
+        memoize / max_runs / max_depth / quotient: passed through to
+            :func:`explore_one`.
     """
     _check_core(core)
-    options = {
-        "memoize": memoize,
-        "max_runs": max_runs,
-        "max_depth": max_depth,
-        "core": core,
-        "quotient": quotient,
-    }
-    jobs: list[tuple[ExplorationSpec | str, int]] = []
-    for spec in tasks:
-        resolved = get_spec(spec) if isinstance(spec, str) else spec
-        for n in n_range:
-            if n >= resolved.min_n:
-                jobs.append((spec, n))
-
-    if subtree_jobs >= 2 or shard_depth is not None:
-        # shard_depth alone still shards (serial shards when the worker
-        # count is < 2), so the reported shard coverage is always real.
-        return [
-            explore_one(
-                spec, n, jobs=subtree_jobs, shard_depth=shard_depth, **options
-            )
-            for spec, n in jobs
-        ]
-
-    if executor == "process":
-        named = [(spec, n) for spec, n in jobs if isinstance(spec, str)]
-        if len(named) == len(jobs):
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            try:
-                with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                    futures = [
-                        pool.submit(_explore_job, spec, n, options)
-                        for spec, n in named
-                    ]
-                    return [future.result() for future in futures]
-            except (OSError, BrokenProcessPool):
-                # Degrade to serial silently only for *infrastructure*
-                # failures: sandboxes that forbid subprocesses.  Real
-                # exploration errors (budget, protocol, oracle misuse)
-                # propagate.
-                pass
-            except KeyError as error:
-                # A pool worker could not resolve a spec from its own
-                # registry (spawn-start children only see register_spec
-                # calls made at import time of modules they import too).
-                # The serial fallback below will still work — the parent
-                # *can* resolve the name — but degrade loudly: silent
-                # serialization looked exactly like a healthy pool.
-                warnings.warn(
-                    f"process-pool exploration fell back to serial: a "
-                    f"worker could not resolve a spec from the registry "
-                    f"({error.args[0] if error.args else error!r})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-
-    return [explore_one(spec, n, **options) for spec, n in jobs]
+    specs = [get_spec(spec) if isinstance(spec, str) else spec for spec in tasks]
+    return [
+        explore_one(
+            spec,
+            n,
+            memoize=memoize,
+            max_runs=max_runs,
+            max_depth=max_depth,
+            core=core,
+            quotient=quotient,
+        )
+        for spec in specs
+        for n in n_range
+        if n >= spec.min_n
+    ]

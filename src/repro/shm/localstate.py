@@ -117,8 +117,8 @@ class SuspensionProfile:
 
 
 def code_token(code: CodeType) -> tuple:
-    """Stable, picklable identity of a code object (survives re-import
-    in pool workers, unlike ``id(code)``)."""
+    """Identity of a code object inside frame signatures: its qualified
+    name, file and first line."""
     return (code.co_qualname, code.co_filename, code.co_firstlineno)
 
 

@@ -94,9 +94,10 @@ class TestFamilyStore:
         stats["feasible_parameterizations"] = -1
         assert store.statistics(6, 3)["feasible_parameterizations"] == 15
 
-    def test_prime_and_clear(self):
+    def test_clear(self):
         store = FamilyStore()
-        store.prime([(4, 2), (5, 2)])
+        store.family(4, 2)
+        store.family(5, 2)
         assert store.cache_info()["families"] == 2
         store.clear()
         assert store.cache_info() == {"hits": 0, "misses": 0, "families": 0}

@@ -4,16 +4,21 @@ The load-bearing property is *equivalence*: for every named workload the
 engine must produce exactly the multiset of decided output vectors the
 legacy re-execution explorer produces, in exact mode even in the same
 order.  On top of that: budget semantics, memoization actually pruning,
-symmetry canonicalization of participant subsets, runtime forking, and the
-batch API.
+symmetry canonicalization of participant subsets, runtime forking, the
+schedule tree's shape, stats accumulation, step-table reuse, and the batch
+API.
 """
 
+import dataclasses
+import warnings
 from collections import Counter
 
 import pytest
 
 from repro.shm import (
+    EngineStats,
     ExplorationBudgetExceeded,
+    ExplorationSpec,
     Nop,
     PrefixSharingEngine,
     RoundRobinScheduler,
@@ -28,9 +33,10 @@ from repro.shm import (
     explore_many,
     explore_one,
     get_spec,
+    make_spec_machine,
     order_isomorphism_class,
 )
-from repro.shm.engine import make_spec_runtime
+from repro.shm.engine import make_spec_runtime, spec_factory
 from repro.shm.explore import _legacy_explore_interleavings
 
 NAMED_SPECS = ("wsb", "election", "renaming", "wsb-grh")
@@ -162,6 +168,64 @@ class TestEquivalenceWithLegacy:
         assert len(legacy) == count_interleavings([2, 2])
 
 
+class TestTreeShape:
+    """The exact DFS's schedule tree, seen through its runs and counters.
+
+    A node's last branch reuses the node's runtime and every other branch
+    forks it, so a tree with R leaves costs R - 1 forks.
+    """
+
+    @pytest.mark.parametrize("name,n", EQUIVALENCE_CASES)
+    def test_runs_fork_once_per_extra_branch(self, name, n):
+        engine = PrefixSharingEngine(spec_factory(get_spec(name), n))
+        runs = sum(1 for _ in engine.runs())
+        assert engine.stats.runs == runs
+        assert engine.stats.forks == runs - 1
+
+    @pytest.mark.parametrize("name,n", EQUIVALENCE_CASES)
+    def test_unmemoized_counting_walks_the_same_tree(self, name, n):
+        walker = PrefixSharingEngine(spec_factory(get_spec(name), n))
+        runs = sum(1 for _ in walker.runs())
+        counter = PrefixSharingEngine(spec_factory(get_spec(name), n))
+        decisions = counter.decided_vectors(memoize=False)
+        assert sum(decisions.values()) == counter.stats.runs == runs
+        assert (counter.stats.nodes, counter.stats.forks) == (
+            walker.stats.nodes,
+            walker.stats.forks,
+        )
+
+    def test_depth_two_prefixes_in_pid_order(self):
+        # Every renaming process is enabled for its first two steps, so
+        # the runs' two-step prefixes are all 9 pid pairs, met in
+        # lexicographic order.
+        factory = make_spec_machine(get_spec("renaming"), 3, record_trace=True)
+        prefixes = []
+        for result in PrefixSharingEngine(factory).runs():
+            prefix = tuple(result.schedule()[:2])
+            if not prefixes or prefixes[-1] != prefix:
+                prefixes.append(prefix)
+        assert prefixes == [(a, b) for a in range(3) for b in range(3)]
+
+    def test_runs_end_above_a_deeper_frontier(self):
+        # wsb at n=2 decides in one step per process: both runs are
+        # complete after two steps.
+        factory = make_spec_machine(get_spec("wsb"), 2, record_trace=True)
+        schedules = [
+            result.schedule() for result in PrefixSharingEngine(factory).runs()
+        ]
+        assert schedules == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("name", NAMED_SPECS)
+    def test_solo_participant_is_one_path(self, name):
+        engine = PrefixSharingEngine(
+            spec_factory(get_spec(name), 3), participants=(0,)
+        )
+        (run,) = engine.runs()
+        assert engine.stats.forks == 0
+        assert run.outputs[0] is not None
+        assert run.outputs[1:] == [None, None]
+
+
 class TestBudgets:
     def test_max_runs_enforced(self):
         with pytest.raises(ExplorationBudgetExceeded):
@@ -212,6 +276,49 @@ class TestBudgets:
         engine = PrefixSharingEngine(factory, max_runs=budget)
         decisions = engine.decided_vectors(memoize=True)
         assert sum(decisions.values()) == total  # completed under budget
+
+    def test_quotient_budget_counts_materialized_leaves(self):
+        unbudgeted = explore_one("renaming", 4)
+        assert unbudgeted.stats.runs == 24
+        budgeted = explore_one("renaming", 4, max_runs=24)
+        assert budgeted.runs == unbudgeted.runs
+        with pytest.raises(ExplorationBudgetExceeded):
+            explore_one("renaming", 4, max_runs=23)
+
+    @pytest.mark.parametrize("quotient,runs", [(True, 24), (False, 240)])
+    def test_shared_stats_do_not_spend_the_budget(self, quotient, runs):
+        # Each exploration gets the whole budget, however many runs the
+        # stats accumulator it shares has already counted.
+        spec = get_spec("renaming")
+        shared = EngineStats()
+        for _ in range(3):
+            PrefixSharingEngine(
+                spec_factory(spec, 4, quotient=quotient),
+                max_runs=runs,
+                stats=shared,
+                quotient=quotient,
+                relabeler=spec.value_relabel if quotient else None,
+            ).decided_vectors()
+        assert shared.runs == 3 * runs > runs
+
+    @pytest.mark.parametrize("mode", ["exact", "memoized", "quotient"])
+    @pytest.mark.parametrize("name", NAMED_SPECS)
+    def test_budget_edge_is_the_materialized_run_count(self, name, mode):
+        # A budget of exactly the runs an exploration materializes lets it
+        # complete; one less raises.  Each mode materializes a different
+        # number (wsb-grh n=3 has 39,330 exact runs, so it runs at n=2).
+        n = 2 if (name, mode) == ("wsb-grh", "exact") else 3
+        options = dict(memoize=mode != "exact", quotient=mode == "quotient")
+        unbudgeted = explore_one(name, n, **options)
+        budget = unbudgeted.stats.runs
+        assert budget <= unbudgeted.runs
+        budgeted = explore_one(name, n, max_runs=budget, **options)
+        assert (budgeted.runs, budgeted.distinct) == (
+            unbudgeted.runs,
+            unbudgeted.distinct,
+        )
+        with pytest.raises(ExplorationBudgetExceeded):
+            explore_one(name, n, max_runs=budget - 1, **options)
 
 
 class TestSymmetryCanonicalization:
@@ -279,6 +386,95 @@ class TestSymmetryCanonicalization:
         assert fast.runs < full.runs
 
 
+def explore_stats(factory, spec, quotient, stats=None):
+    """Decided vectors and stats of one exploration over ``factory``."""
+    engine = PrefixSharingEngine(
+        factory,
+        stats=stats,
+        quotient=quotient,
+        relabeler=spec.value_relabel if quotient else None,
+    )
+    return engine.decided_vectors(), engine.stats
+
+
+class TestSharedStats:
+    """A shared :class:`EngineStats` sums the explorations run into it; the
+    stack high-water mark is their maximum."""
+
+    @pytest.mark.parametrize("quotient", [True, False])
+    @pytest.mark.parametrize("name", NAMED_SPECS)
+    def test_shared_stats_sum_each_exploration(self, name, quotient):
+        spec = get_spec(name)
+        sizes = (3, 2)  # the deeper tree first, so its peak must survive
+
+        def explore(n, stats=None):
+            factory = spec_factory(spec, n, quotient=quotient)
+            return explore_stats(factory, spec, quotient, stats)[1]
+
+        alone = [explore(n) for n in sizes]
+        shared = EngineStats()
+        for n in sizes:
+            explore(n, shared)
+        for field in dataclasses.fields(EngineStats):
+            combine = max if field.name == "peak_stack" else sum
+            expected = combine(getattr(stats, field.name) for stats in alone)
+            assert getattr(shared, field.name) == expected, field.name
+
+    def test_json_payload_names_every_counter(self):
+        result = explore_one("renaming", 3)
+        payload = result.to_json()["stats"]
+        assert payload == dataclasses.asdict(result.stats)
+        assert payload["orbits"] > 0 and payload["lex_pruned"] > 0
+
+
+class TestStepTableReuse:
+    """A factory traces its step table on demand and keeps it: a later
+    exploration on the same factory walks the table an earlier one built."""
+
+    #: Counters a warm table leaves unchanged: the same orbits are visited.
+    WALK = ("nodes", "runs", "memo_hits", "memo_entries", "orbits",
+            "orbit_hits", "peak_stack")
+
+    @pytest.mark.parametrize("quotient", [True, False])
+    @pytest.mark.parametrize("name", NAMED_SPECS)
+    def test_second_exploration_walks_the_traced_table(self, name, quotient):
+        spec = get_spec(name)
+        factory = spec_factory(spec, 3, quotient=quotient)
+        first, cold = explore_stats(factory, spec, quotient)
+        traced = len(factory.program.ops)
+        second, warm = explore_stats(factory, spec, quotient)
+        assert second == first
+        assert len(factory.program.ops) == traced  # nothing left to trace
+        if quotient:
+            assert [getattr(warm, f) for f in self.WALK] == [
+                getattr(cold, f) for f in self.WALK
+            ]
+            # Every edge is traced now, so the probe finds every orbit
+            # hit before a fork.
+            assert warm.lex_pruned == warm.orbit_hits
+            assert warm.forks <= cold.forks
+        else:
+            assert warm == cold
+
+    @pytest.mark.parametrize("name", NAMED_SPECS)
+    def test_independent_factories_build_the_same_table(self, name):
+        # Node ids are handed out in exploration order, so two factories
+        # exploring one spec number their tables alike: what lets the
+        # engine's work counters be pinned.
+        spec = get_spec(name)
+        programs = []
+        for _ in range(2):
+            factory = spec_factory(spec, 3, quotient=True)
+            explore_stats(factory, spec, quotient=True)
+            programs.append(factory.program)
+        first, second = programs
+        assert len(first.ops) > 0
+        assert first.ops == second.ops
+        assert first.parents == second.parents
+        assert first.edges == second.edges
+        assert first.decisions == second.decisions
+
+
 class TestBatchAPI:
     def test_registry(self):
         assert set(NAMED_SPECS) <= set(available_specs())
@@ -306,12 +502,50 @@ class TestBatchAPI:
         results = explore_many(["wsb"], [1, 2])
         assert [(r.name, r.n) for r in results] == [("wsb", 2)]
 
-    def test_explore_many_process_executor(self):
-        serial = explore_many(["wsb"], [2, 3])
-        parallel = explore_many(["wsb"], [2, 3], executor="process", max_workers=2)
-        assert [(r.name, r.n, r.runs, r.distinct) for r in serial] == [
-            (r.name, r.n, r.runs, r.distinct) for r in parallel
+    def test_genuinely_unregistered_name_raises(self):
+        with pytest.raises(KeyError, match="unknown exploration task"):
+            explore_many(["definitely-not-registered"], [2])
+
+    def test_typo_fails_before_any_exploration(self, monkeypatch):
+        import repro.shm.engine as engine_module
+
+        explored = []
+        monkeypatch.setattr(
+            engine_module,
+            "explore_one",
+            lambda spec, n, **options: explored.append((spec.name, n)),
+        )
+        with pytest.raises(KeyError, match="unknown exploration task"):
+            explore_many(["wsb", "wbs"], [2, 3])
+        assert explored == []
+
+    def test_unregistered_spec_object_explores(self):
+        spec = get_spec("wsb")
+        rogue = ExplorationSpec(
+            name="rogue-wsb",
+            description="registered nowhere",
+            task_factory=spec.task_factory,
+            algorithm_factory=spec.algorithm_factory,
+            system_factory=spec.system_factory,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = explore_many([rogue], [2, 3])
+        assert [(r.name, r.n, r.runs) for r in results] == [
+            ("rogue-wsb", 2, 2),
+            ("rogue-wsb", 3, 6),
         ]
+        assert "rogue-wsb" not in available_specs()
+
+    def test_explore_many_is_explore_one_per_cell(self):
+        results = explore_many(["wsb", "election"], [2, 3])
+        assert len(results) == 4
+        for result in results:
+            single = explore_one(result.name, result.n)
+            assert result.stats == single.stats
+            assert (result.runs, result.distinct, result.violations) == (
+                single.runs, single.distinct, single.violations
+            )
 
 
 class TestRuntimeCores:
@@ -371,48 +605,3 @@ class TestRuntimeCores:
                 system_factory=spec.system_factory(2),
                 core="quantum",
             )
-
-
-class TestLoudPoolFallback:
-    """explore_many's process-pool path must not swallow KeyError silently."""
-
-    def test_genuinely_unregistered_name_raises(self):
-        with pytest.raises(KeyError, match="unknown exploration task"):
-            explore_many(["definitely-not-registered"], [2], executor="process")
-
-    def test_worker_keyerror_warns_then_degrades(self, monkeypatch):
-        import warnings as _warnings
-
-        import repro.shm.engine as engine_module
-
-        def exploding_job(name, n, options):
-            raise KeyError(f"unknown exploration task {name!r} (worker side)")
-
-        monkeypatch.setattr(engine_module, "_explore_job", exploding_job)
-
-        class FakePool:
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                from concurrent.futures import Future
-
-                future = Future()
-                try:
-                    future.set_result(fn(*args))
-                except BaseException as error:  # noqa: BLE001
-                    future.set_exception(error)
-                return future
-
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor", FakePool
-        )
-        with pytest.warns(RuntimeWarning, match="could not resolve a spec"):
-            results = explore_many(["wsb"], [2], executor="process")
-        assert [(r.name, r.n, r.runs) for r in results] == [("wsb", 2, 2)]

@@ -9,7 +9,7 @@ is the reference semantics, so this suite pins:
 
 * **multiset identity** — for every registry spec at n <= 3, the
   quotiented decided-vector Counter is byte-identical to the generator
-  reference (serial, sharded-serial, and subset-profile paths);
+  reference (serial and subset-profile paths);
 * **probe fidelity** — :meth:`MachineState.probe_step`'s predicted orbit
   key and decided value match a real fork + step at every reachable
   state of a bounded walk;
@@ -17,7 +17,7 @@ is the reference semantics, so this suite pins:
   fixpoint: the free values of a canonical key already appear in
   ascending first-occurrence order, so a second pass is the identity;
 * **stats plumbing** — orbit counters surface in
-  :class:`~repro.shm.engine.EngineStats` and merge across shards.
+  :class:`~repro.shm.engine.EngineStats`.
 """
 
 import itertools
@@ -39,7 +39,6 @@ from repro.shm.engine import (
     explore_one,
     spec_factory,
 )
-from repro.shm.parallel import explore_decided_parallel
 
 ALL_SPECS = sorted(available_specs())
 CASES = [
@@ -108,34 +107,6 @@ class TestQuotientMultisetIdentity:
             name, n, participants=participants
         ).decided_vectors()
         assert quotiented == reference_vectors(name, n, participants)
-
-
-class TestShardedQuotient:
-    @pytest.mark.parametrize("name", ALL_SPECS)
-    def test_serial_shards_share_one_orbit_memo(self, name):
-        n = max(3, get_spec(name).min_n)
-        stats = EngineStats()
-        outcome = explore_decided_parallel(
-            name, n, jobs=0, quotient=True, stats=stats
-        )
-        assert outcome.decisions == reference_vectors(name, n)
-        assert stats.orbits > 0
-        # The shared in-parent memo means later shards hit orbits the
-        # earlier shards closed.
-        assert stats.orbit_hits + stats.lex_pruned > 0
-
-    def test_pooled_shards_match_reference(self):
-        outcome = explore_decided_parallel(
-            "wsb-grh", 3, jobs=2, quotient=True
-        )
-        assert outcome.decisions == reference_vectors("wsb-grh", 3)
-
-    def test_sharded_stats_merge_orbit_counters(self):
-        stats = EngineStats()
-        explore_decided_parallel("renaming", 3, jobs=0, quotient=True, stats=stats)
-        payload = stats.to_json()
-        assert payload["orbits"] == stats.orbits > 0
-        assert "orbit_hits" in payload and "lex_pruned" in payload
 
 
 class TestSubsetTotals:

@@ -375,18 +375,56 @@ class TestExploreCommand:
         assert payload["core"] == "generator"
         assert payload["results"][0]["core"] == "generator"
 
-    def test_explore_subtree_sharding(self, capsys):
-        assert (
-            main(
-                ["explore", "--tasks", "renaming", "--n", "3",
-                 "--jobs", "2", "--shard-depth", "2", "--json"]
-            )
-            == 0
-        )
+    def test_explore_exhausted_budget(self, capsys):
+        # renaming n=4 materializes 24 leaves on the quotient DFS.
+        argv = ["explore", "--tasks", "renaming", "--n", "4", "--max-runs", "10"]
+        assert main(argv) == 2
+        assert "raise --max-runs" in capsys.readouterr().err
+
+    def test_explore_json_row_is_the_library_result(self, capsys):
+        from repro.shm import explore_one
+
+        assert main(["explore", "--tasks", "renaming", "--n", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "tasks", "n", "core", "memoize", "quotient",
+            "total_seconds", "failures", "results",
+        }
         (row,) = payload["results"]
+        expected = explore_one("renaming", 3).to_json()
+        del row["seconds"], expected["seconds"]
+        assert row == expected
         assert row["runs"] == 1680
-        assert row["shards"] == 9
+
+    @pytest.mark.parametrize(
+        "options,memoize,quotient",
+        [
+            ([], True, True),
+            (["--quotient", "off"], True, False),
+            (["--no-memo"], False, False),
+            (["--core", "generator"], True, False),
+        ],
+    )
+    def test_explore_reference_paths_agree(
+        self, capsys, options, memoize, quotient
+    ):
+        # ``quotient`` is whether the orbit quotient actually ran: it needs
+        # the memo and the compiled core.
+        argv = ["explore", "--tasks", "renaming", "--n", "3", "--json"]
+        assert main(argv + options) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["memoize"] == memoize
+        (row,) = payload["results"]
+        assert (row["runs"], row["distinct"], row["violations"]) == (1680, 9, 0)
+        assert row["quotient"] == quotient
+
+    def test_explore_compare_legacy(self, capsys):
+        argv = ["explore", "--tasks", "wsb", "--n", "2", "3", "--compare-legacy"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "legacy re-execution explorer" in out
+        assert "wsb        n=2  runs=2 " in out
+        assert "wsb        n=3  runs=6 " in out
 
     def test_explore_json_reports_election_refutation(self, capsys):
         # Election violations are the expected model-checking outcome,
