@@ -161,13 +161,21 @@ def brute_force_communication_free(task: GSBTask) -> bool:
 
 
 def decision_function_is_valid(task: GSBTask, delta: dict[int, int]) -> bool:
-    """Whether ``delta`` solves ``task`` for every participating id set."""
+    """Whether ``delta`` solves ``task`` for every participating id set.
+
+    Legality reads only the counting vector, so each multiset of outputs
+    is decided once.
+    """
     identities = list(identity_space(task.n))
     if set(delta) != set(identities):
         return False
+    legal: dict[tuple[int, ...], bool] = {}
     for chosen in itertools.combinations(identities, task.n):
-        outputs = [delta[identity] for identity in chosen]
-        if not task.is_legal_output(outputs):
+        outputs = tuple(sorted(map(delta.__getitem__, chosen)))
+        verdict = legal.get(outputs)
+        if verdict is None:
+            verdict = legal[outputs] = task.is_legal_output(outputs)
+        if not verdict:
             return False
     return True
 

@@ -41,10 +41,9 @@ exhausted attack rung.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..core.gsb import GSBTask
 from ..decision.certificates import MAX_CNF_LITERALS
@@ -90,32 +89,38 @@ class DecisionMapEncoding:
         return decision_map
 
 
-def _facet_value_clauses(
-    mult: dict[int, int], low: int, high: int, m: int, var
-) -> Iterable[tuple[int, ...]]:
-    """Counting clauses for one facet (class index -> multiplicity)."""
-    distinct = sorted(mult)
-    # At most ``high`` per value: forbid minimal over-threshold subsets.
-    for size in range(1, len(distinct) + 1):
-        for subset in itertools.combinations(distinct, size):
-            total = sum(mult[c] for c in subset)
+def _shape_subsets(
+    multiplicities: tuple[int, ...], low: int, high: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The counting clauses' subsets of one facet shape, as positions.
+
+    A facet's *shape* is its distinct classes in ascending order with
+    their multiplicities; ``multiplicities`` lists the latter.  Returns
+    ``(forbidden, required)``: the at-most-``high`` side forbids every
+    *minimal* subset whose multiplicities sum past ``high`` from taking
+    one value together, and the at-least-``low`` side requires a value
+    in the complement of every *maximal* subset that sums below ``low``.
+    """
+    positions = range(len(multiplicities))
+    forbidden = []
+    for size in range(1, len(positions) + 1):
+        for subset in itertools.combinations(positions, size):
+            total = sum(multiplicities[i] for i in subset)
             if total < high + 1:
                 continue
-            if all(total - mult[c] < high + 1 for c in subset):
-                for value in range(1, m + 1):
-                    yield tuple(-var(c, value) for c in subset)
-    # At least ``low`` per value: some class outside every maximal
-    # deficient subset must take the value.
+            if all(total - multiplicities[i] < high + 1 for i in subset):
+                forbidden.append(subset)
+    required = []
     if low >= 1:
-        for size in range(0, len(distinct) + 1):
-            for subset in itertools.combinations(distinct, size):
-                total = sum(mult[c] for c in subset)
+        for size in range(0, len(positions) + 1):
+            for subset in itertools.combinations(positions, size):
+                total = sum(multiplicities[i] for i in subset)
                 if total > low - 1:
                     continue
-                rest = [c for c in distinct if c not in subset]
-                if all(total + mult[c] > low - 1 for c in rest):
-                    for value in range(1, m + 1):
-                        yield tuple(var(c, value) for c in rest)
+                rest = tuple(i for i in positions if i not in subset)
+                if all(total + multiplicities[i] > low - 1 for i in rest):
+                    required.append(rest)
+    return forbidden, required
 
 
 def encode_decision_map(
@@ -125,7 +130,9 @@ def encode_decision_map(
 
     Raises :class:`SatBudgetExceeded` before building any clause when the
     exactly-one and value-precede clauses alone would hold more than
-    :data:`repro.decision.certificates.MAX_CNF_LITERALS` literals.
+    :data:`repro.decision.certificates.MAX_CNF_LITERALS` literals, and
+    while building once the distinct clauses built so far, facet clauses
+    included, hold more.
     """
     if task.n != complex_.n:
         raise ValueError(
@@ -136,7 +143,8 @@ def encode_decision_map(
     m = task.m
     # Exactly-one: m literals plus m(m-1)/2 pairs of two per class.  The
     # value-precede chain: one clause of index + 1 literals per class and
-    # value past the first.  Facet clauses come on top.
+    # value past the first.  All of them are distinct; facet clauses come
+    # on top.
     literals = classes * m * m
     if task.is_symmetric:
         literals += (m - 1) * classes * (classes + 1) // 2
@@ -156,8 +164,6 @@ def encode_decision_map(
         clauses.add(tuple(var(index, value) for value in range(1, m + 1)))
         for v1, v2 in itertools.combinations(range(1, m + 1), 2):
             clauses.add((-var(index, v1), -var(index, v2)))
-    for members in complex_.facet_class_indexes():
-        clauses.update(_facet_value_clauses(Counter(members), low, high, m, var))
     if task.is_symmetric:
         # Value-precede chain over the class order: w appears only after
         # w-1 did.  Sound because symmetric-task legality is invariant
@@ -166,12 +172,48 @@ def encode_decision_map(
         for w in range(2, m + 1):
             for index in range(classes):
                 clauses.add((-var(index, w),) + tuple(range(w - 1, index * m, m)))
+    # Facet clauses: dedupe class subsets across facets, enumerating the
+    # subsets of each shape once, then expand each over the m values.
+    shapes: dict[tuple[int, ...], tuple[list, list]] = {}
+    forbidden: set[tuple[int, ...]] = set()
+    required: set[tuple[int, ...]] = set()
+    for members in complex_.facet_class_indexes():
+        distinct = sorted(set(members))
+        shape = tuple(map(members.count, distinct))
+        subsets = shapes.get(shape)
+        if subsets is None:
+            subsets = shapes[shape] = _shape_subsets(shape, low, high)
+        for positions in subsets[0]:
+            forbidden.add(tuple([distinct[i] for i in positions]))
+        for positions in subsets[1]:
+            required.add(tuple([distinct[i] for i in positions]))
+    values = range(1, m + 1)
+    for sign, subsets in ((-1, forbidden), (1, required)):
+        for subset in subsets:
+            before = len(clauses)
+            clauses.update(
+                tuple([sign * (c * m + value) for c in subset]) for value in values
+            )
+            literals += (len(clauses) - before) * len(subset)
+            if literals > MAX_CNF_LITERALS:
+                raise SatBudgetExceeded(
+                    f"CNF over {classes} classes and {m} values reached "
+                    f"{literals} literals with its facet clauses, past the "
+                    f"encoder's budget of {MAX_CNF_LITERALS}"
+                )
+    # Clauses sorted by (length, literals): sorting each length apart
+    # compares tuples of one length only, without a key per clause.
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for clause in clauses:
+        by_length.setdefault(len(clause), []).append(clause)
     return DecisionMapEncoding(
         n=task.n,
         m=m,
         rounds=complex_.rounds,
         num_vars=classes * m,
-        clauses=tuple(sorted(clauses, key=lambda c: (len(c), c))),
+        clauses=tuple(itertools.chain.from_iterable(
+            sorted(by_length[length]) for length in sorted(by_length)
+        )),
         class_order=order,
     )
 

@@ -18,7 +18,6 @@ each touched facet can still be completed to a legal output.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,7 +78,8 @@ class FacetOccupancy:
     with ``w_v(c) = max(c, l_v)`` plus ``n + 1`` once ``c > u_v``; the
     facet is completable iff its load is at most ``n``.  Assigning or
     retracting a class updates only the facets that contain it, by the
-    class's multiplicity in each.
+    class's multiplicity in each; an assignment that would leave one of
+    them uncompletable is refused and leaves no trace.
     """
 
     def __init__(
@@ -102,25 +102,38 @@ class FacetOccupancy:
         #: touching[c] = (facet, multiplicity of class c in it) pairs.
         self.touching: list[list[tuple[int, int]]] = [[] for _ in range(classes)]
         for facet, members in enumerate(facet_classes):
-            for class_index, multiplicity in Counter(members).items():
-                self.touching[class_index].append((facet, multiplicity))
+            for class_index in set(members):
+                self.touching[class_index].append((facet, members.count(class_index)))
 
     def assign(self, class_index: int, value: int) -> bool:
-        """Decide ``value`` for a class; True iff its facets stay completable."""
+        """Decide ``value`` for a class unless a touched facet turns uncompletable.
+
+        Returns True iff every touched facet stays completable.  On False
+        the assignment leaves no trace: the first facet whose load would
+        pass ``n`` stops the update, and the counters already moved are
+        put back, so the caller retracts only assignments that stood.
+        """
         counts = self.counts[value]
         weight = self.weight[value]
         load = self.load
         limit = self.limit
-        completable = True
-        for facet, multiplicity in self.touching[class_index]:
+        touching = self.touching[class_index]
+        for facet, multiplicity in touching:
             before = counts[facet]
             after = before + multiplicity
-            counts[facet] = after
             total = load[facet] + weight[after] - weight[before]
-            load[facet] = total
             if total > limit:
-                completable = False
-        return completable
+                # Put back the facets already moved, then refuse.
+                for moved, multiplicity in touching:
+                    if moved == facet:
+                        return False
+                    after = counts[moved]
+                    before = after - multiplicity
+                    counts[moved] = before
+                    load[moved] += weight[before] - weight[after]
+            counts[facet] = after
+            load[facet] = total
+        return True
 
     def retract(self, class_index: int, value: int) -> None:
         """Undo :meth:`assign` of the same class and value."""
@@ -166,7 +179,7 @@ def search_decision_map(
     assign, retract = occupancy.assign, occupancy.retract
     top = task.m
     first_top = 1 if task.is_symmetric else top
-    # assignment[depth] is the value being tried at that depth, 0 if none.
+    # assignment[depth] is the value standing at that depth, 0 if none.
     assignment = [0] * classes
     tried = 0
     depth = 0
@@ -174,22 +187,26 @@ def search_decision_map(
         value = assignment[depth]
         if value:
             retract(depth, value)
-        if value == (first_top if depth == 0 else top):
+        last = first_top if depth == 0 else top
+        while value < last:
+            value += 1
+            tried += 1
+            if tried > max_assignments:
+                raise RuntimeError(
+                    f"decision-map search exceeded {max_assignments} "
+                    "assignments; reduce n or rounds"
+                )
+            if assign(depth, value):
+                break
+        else:
+            # Every value is refused or was tried: back up a level.
             assignment[depth] = 0
             if depth == 0:
                 break
             depth -= 1
             continue
-        value += 1
-        tried += 1
-        if tried > max_assignments:
-            raise RuntimeError(
-                f"decision-map search exceeded {max_assignments} "
-                "assignments; reduce n or rounds"
-            )
         assignment[depth] = value
-        if assign(depth, value):
-            depth += 1
+        depth += 1
     found = depth == classes
     return DecisionSearchResult(
         task=task,
@@ -206,15 +223,40 @@ def verify_decision_map(
     complex_: ISProtocolComplex,
     decision_map: dict[View, int],
 ) -> list[str]:
-    """Independent check of a decision map; returns violations (if any)."""
-    classes = complex_.canonical_classes()
+    """Independent check of a decision map; returns violations (if any).
+
+    It reads the complex's vertex-to-class map, not the class order the
+    search and the encoder index by.  Each distinct vertex's class is
+    looked up in ``decision_map`` once, and legality is decided once per
+    distinct facet output vector.
+    """
+    values = [
+        [
+            _UNMAPPED if label is None else decision_map.get(label, _UNMAPPED)
+            for label in table
+        ]
+        for table in complex_.vertex_classes()
+    ]
+    lookup = list.__getitem__
+    legal: dict[tuple, bool] = {}
     problems = []
-    for facet in complex_.facets():
-        missing = [vertex for vertex in facet if classes[vertex] not in decision_map]
-        if missing:
+    for index, row in enumerate(complex_.facet_rows()):
+        output = tuple(map(lookup, values, row))
+        if _UNMAPPED in output:
+            facet = complex_.facets()[index]
+            classes = complex_.canonical_classes()
+            missing = [
+                vertex for vertex in facet if classes[vertex] not in decision_map
+            ]
             problems.append(f"facet {facet} has unmapped vertices {missing}")
             continue
-        output = [decision_map[classes[vertex]] for vertex in facet]
-        if not task.is_legal_output(output):
-            problems.append(f"facet decisions {output} illegal for {task}")
+        verdict = legal.get(output)
+        if verdict is None:
+            verdict = legal[output] = task.is_legal_output(output)
+        if not verdict:
+            problems.append(f"facet decisions {list(output)} illegal for {task}")
     return problems
+
+
+#: A vertex whose class the decision map does not cover.
+_UNMAPPED = object()

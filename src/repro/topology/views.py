@@ -87,6 +87,18 @@ def canonical_local_state(pid: int, view: View) -> View:
     return ("self", self_rank, canonical_view(view))
 
 
+def canonical_local_states(view: View) -> dict[int, View]:
+    """:func:`canonical_local_state` of each process at ``view``'s top level.
+
+    Those are the processes that can hold a round view (a block's
+    processes all see the same snapshot).  The relabeled tree does not
+    depend on the owner, so it is built once for all of them.
+    """
+    pids = sorted(pids_in_view(view))
+    shape = canonical_view(view)
+    return {pid: ("self", pids.index(pid), shape) for pid, _inner in view[1]}
+
+
 def _relabel(view: View, pid_rank: dict[int, int], identity_rank: dict[int, int]) -> View:
     if view[0] == "id":
         return ("id", identity_rank[view[1]])

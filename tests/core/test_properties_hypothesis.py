@@ -131,6 +131,54 @@ def test_communication_free_implies_witness_exists(task):
         assert decision_function_is_valid(task, delta)
 
 
+@st.composite
+def witness_cases(draw):
+    """A task with n <= 4, m <= 3 and a decision function for it.
+
+    The function is Theorem 9's witness when one exists, or random, and
+    may then be perturbed: values outside ``[1..m]`` and a missing or an
+    extra identity make it invalid too.
+    """
+    from repro.core import communication_free_decision_function, identity_space
+
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=3))
+    low = draw(st.integers(min_value=0, max_value=n))
+    high = draw(st.integers(min_value=low, max_value=n))
+    task = SymmetricGSBTask(n, m, low, high)
+    identities = list(identity_space(n))
+    witness = None
+    if task.is_feasible and draw(st.booleans()):
+        witness = communication_free_decision_function(task)
+    if witness is None:
+        values = st.integers(min_value=0, max_value=m + 1)
+        witness = {identity: draw(values) for identity in identities}
+    delta = dict(witness)
+    if draw(st.booleans()):
+        identity = draw(st.sampled_from(identities))
+        delta[identity] = draw(st.integers(min_value=0, max_value=m + 1))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        del delta[draw(st.sampled_from(identities))]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        delta[len(identities) + 1] = 1
+    return task, delta
+
+
+@given(witness_cases())
+def test_decision_function_validity_matches_its_definition(case):
+    from itertools import combinations
+
+    from repro.core import decision_function_is_valid, identity_space
+
+    task, delta = case
+    identities = list(identity_space(task.n))
+    expected = set(delta) == set(identities) and all(
+        task.is_legal_output([delta[identity] for identity in chosen])
+        for chosen in combinations(identities, task.n)
+    )
+    assert decision_function_is_valid(task, delta) == expected
+
+
 @given(task_parameters(max_n=7))
 def test_partial_output_none_vector_iff_feasible(params):
     task = SymmetricGSBTask(*params)

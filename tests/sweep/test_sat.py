@@ -7,10 +7,14 @@ the battery differentially checks the whole encode+solve path against
 the independent backtracking search on every small task.
 """
 
+import hashlib
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from repro.core.feasibility import feasible_bound_pairs
 from repro.core.gsb import SymmetricGSBTask
 from repro.core.solvability import Solvability
 from repro.decision.certificates import MAX_CNF_LITERALS, DecisionMapCertificate
@@ -271,7 +275,12 @@ def _outcome(complex_, task, decision_map, result):
 
 
 class TestLiteralBudget:
-    """The encoder refuses a CNF past MAX_CNF_LITERALS before building it."""
+    """The encoder refuses a CNF past MAX_CNF_LITERALS.
+
+    Up front when the exactly-one and value-precede clauses alone are
+    too many, and while building once the distinct clauses built so far,
+    facet clauses included, are.
+    """
 
     def test_encoder_raises_past_the_budget(self, monkeypatch):
         monkeypatch.setattr(sat, "MAX_CNF_LITERALS", 1_000)
@@ -281,6 +290,20 @@ class TestLiteralBudget:
         # The one-round CNF (6 classes: 45 literals) still fits.
         encode_decision_map(SymmetricGSBTask(3, 2, 0, 2), ISProtocolComplex(3, 1))
 
+    def test_facet_clauses_count_against_the_budget(self, monkeypatch):
+        task, complex_ = SymmetricGSBTask(3, 2, 0, 2), ISProtocolComplex(3, 1)
+        built = sum(map(len, encode_decision_map(task, complex_).clauses))
+        # The up-front bound (6 classes, m = 2: 45 literals) fits both
+        # budgets below; only the facet clauses pass the first.
+        assert 45 < built
+        monkeypatch.setattr(sat, "MAX_CNF_LITERALS", built - 1)
+        with pytest.raises(
+            SatBudgetExceeded, match=f"reached {built} literals with its facet"
+        ):
+            encode_decision_map(task, complex_)
+        monkeypatch.setattr(sat, "MAX_CNF_LITERALS", built)
+        encode_decision_map(task, complex_)
+
     def test_attack_ends_exhausted_with_the_reason(self, monkeypatch):
         monkeypatch.setattr(sat, "MAX_CNF_LITERALS", 1_000)
         outcome = attack_sat((3, 2, 0, 2), {"rounds": 2})
@@ -288,8 +311,82 @@ class TestLiteralBudget:
         assert "past the encoder's budget of 1000" in outcome.reason
 
     def test_default_budget_admits_every_two_round_n4_rung(self):
-        # The sweep's n <= 4, r <= 2 rungs, for every m the universe holds.
-        classes = len(decision_class_order(ISProtocolComplex(4, 2)))
+        # The sweep's n <= 4, r <= 2 rungs, for every m the universe holds:
+        # the exactly-one and value-precede literals, plus the literals
+        # of every facet's clauses counted before dedupe.
+        complex_ = ISProtocolComplex(4, 2)
+        classes = len(decision_class_order(complex_))
+        # Clause sizes depend on a facet's multiplicities, not their order.
+        shapes = Counter(
+            tuple(sorted(Counter(members).values()))
+            for members in complex_.facet_class_indexes()
+        )
         for m in range(2, 7):
             literals = classes * m * m + (m - 1) * classes * (classes + 1) // 2
-            assert literals <= MAX_CNF_LITERALS, m
+            for low, high in feasible_bound_pairs(4, m):
+                facet_literals = sum(
+                    facets * m * _facet_clause_literals(shape, low, high)
+                    for shape, facets in shapes.items()
+                )
+                assert literals + facet_literals <= MAX_CNF_LITERALS, (m, low, high)
+
+
+def _facet_clause_literals(multiplicities, low, high):
+    """Literals of one value's counting clauses for a facet shape.
+
+    At most ``high``: every minimal subset of classes past it, one
+    literal per class.  At least ``low``: the complement of every
+    maximal subset below it.
+    """
+    positions = range(len(multiplicities))
+    subsets = [
+        subset
+        for size in range(len(multiplicities) + 1)
+        for subset in itertools.combinations(positions, size)
+    ]
+    literals = 0
+    for subset in subsets:
+        total = sum(multiplicities[i] for i in subset)
+        if total > high and all(total - multiplicities[i] <= high for i in subset):
+            literals += len(subset)
+        rest = [i for i in positions if i not in subset]
+        if low and total < low and all(total + multiplicities[i] >= low for i in rest):
+            literals += len(rest)
+    return literals
+
+
+class TestEncodingPins:
+    """Every CNF over a grid of tasks, pinned byte for byte.
+
+    Per ``(n, rounds, largest m)``: the number of feasible symmetric
+    ``<n, m, l, u>`` with ``m`` up to the largest, and the SHA-256 of the
+    ``repr`` of each one's ``((n, m, l, u, rounds), num_vars, clauses)``
+    in order, recorded with the encoder that enumerated each facet's
+    subsets from its own class multiset.
+    """
+
+    DIGESTS = {
+        (2, 1, 3): (9, "9850c4da8145f4035e42b667faf8c86f1be6c923453be0adbfa9ce264d9294be"),
+        (2, 2, 3): (9, "435cb76a2809934f2fd6c012b1aae791ffb241a3c3d9adf6777e821da6bffda7"),
+        (3, 1, 5): (20, "a69be4d3a839da733705e7eca8611ca8ed77d84787ff491210a9cd68d3da3fb4"),
+        (3, 2, 5): (20, "0d1e14e521e572602690dad36693f16c1bb1cf35f49fa50f589a18c8e1ddb537"),
+        (4, 1, 7): (40, "ae21081706a52ad04cfe4028b1bef66e3864f448cc0eee07ac6dba62c3037b8e"),
+        (4, 2, 3): (20, "606be0b205efda1ed796e969346ebf7bab8ee35136b5ed11a6e760664a7ccd7d"),
+    }
+
+    @pytest.mark.parametrize("n,rounds,max_m", sorted(DIGESTS))
+    def test_cnf_digest(self, n, rounds, max_m):
+        complex_ = ISProtocolComplex(n, rounds)
+        digest = hashlib.sha256()
+        tasks = 0
+        for m in range(1, max_m + 1):
+            for low, high in feasible_bound_pairs(n, m):
+                encoding = encode_decision_map(
+                    SymmetricGSBTask(n, m, low, high), complex_
+                )
+                key = (n, m, low, high, rounds)
+                digest.update(
+                    repr((key, encoding.num_vars, encoding.clauses)).encode()
+                )
+                tasks += 1
+        assert (tasks, digest.hexdigest()) == self.DIGESTS[(n, rounds, max_m)]

@@ -1,5 +1,7 @@
 """Tests for decision-map search on protocol complexes."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -105,3 +107,35 @@ class TestSearchMechanics:
         complex_ = ISProtocolComplex(2, 1)
         problems = verify_decision_map(renaming(2, 3), complex_, {})
         assert any("unmapped" in problem for problem in problems)
+
+    def test_verify_reports_what_a_facet_by_facet_check_does(self):
+        # The reference reads every facet's vertices through
+        # canonical_classes(); the check under test maps each distinct
+        # vertex once.  Their problem lists must match line for line.
+        def reference(task, complex_, decision_map):
+            classes = complex_.canonical_classes()
+            problems = []
+            for facet in complex_.facets():
+                missing = [v for v in facet if classes[v] not in decision_map]
+                if missing:
+                    problems.append(f"facet {facet} has unmapped vertices {missing}")
+                    continue
+                output = [decision_map[classes[v]] for v in facet]
+                if not task.is_legal_output(output):
+                    problems.append(f"facet decisions {output} illegal for {task}")
+            return problems
+
+        rng = random.Random(5)
+        for n, rounds in [(2, 2), (3, 1), (3, 2)]:
+            complex_ = ISProtocolComplex(n, rounds)
+            labels = complex_.class_order()
+            for task in (renaming(n, 2 * n - 1), weak_symmetry_breaking(n)):
+                for dropped in (0, 1, 3):
+                    decision_map = {
+                        label: rng.randint(1, task.m) for label in labels
+                    }
+                    for label in rng.sample(labels, dropped):
+                        del decision_map[label]
+                    assert verify_decision_map(
+                        task, complex_, decision_map
+                    ) == reference(task, complex_, decision_map)

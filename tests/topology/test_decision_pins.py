@@ -12,7 +12,7 @@ the budget rule moves a count or a map.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import BoundVector
@@ -253,8 +253,20 @@ def _occupancy_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_occupancy_cases())
+# Class 0 is refused value 1 by its second facet after its first took it.
+@example((
+    GSBTask(2, BoundVector(lower=(0, 0), upper=(1, 2))),
+    [[0, 1], [0, 0]],
+    [1, None],
+    set(),
+))
 def test_occupancy_matches_partial_output_check(case):
-    """The counters' verdicts are the reference partial-output check's."""
+    """The counters' verdicts are the reference partial-output check's.
+
+    ``assign`` returns exactly whether every facet the class touches
+    stays completable, and a refused assignment leaves no trace: every
+    facet's completability is as it was, and nothing is retracted for it.
+    """
     task, facets, values, retracted = case
     classes = len(values)
     occupancy = FacetOccupancy(task, facets, classes)
@@ -267,15 +279,34 @@ def test_occupancy_matches_partial_output_check(case):
         for index, members in enumerate(facets):
             assert occupancy.completable(index) == legal(members), (task, members)
 
-    for class_index, value in enumerate(values):
-        if value is None:
-            continue
+    def assign(class_index, value):
         assigned[class_index] = value
         touched = [members for members in facets if class_index in members]
-        assert occupancy.assign(class_index, value) == all(map(legal, touched))
-    agree()
+        stood = occupancy.assign(class_index, value)
+        assert stood == all(map(legal, touched))
+        if not stood:
+            assigned[class_index] = None
+        agree()
+        return stood
+
+    def probe():
+        # Try every value on every undecided class and back out again, so
+        # that a counter a refusal left moved shows in a later verdict.
+        for class_index in range(classes):
+            if assigned[class_index] is None:
+                for value in range(1, task.m + 1):
+                    if assign(class_index, value):
+                        occupancy.retract(class_index, value)
+                        assigned[class_index] = None
+                        agree()
+
+    for class_index, value in enumerate(values):
+        if value is not None:
+            assign(class_index, value)
+    probe()
     for class_index in sorted(retracted):
         if assigned[class_index] is not None:
             occupancy.retract(class_index, assigned[class_index])
             assigned[class_index] = None
-    agree()
+        agree()
+    probe()

@@ -6,7 +6,7 @@ from repro.topology import (
     ordered_bell_number,
     ordered_partitions,
 )
-from repro.topology.views import base_view
+from repro.topology.views import base_view, canonical_local_state
 
 
 class TestOrderedPartitions:
@@ -67,6 +67,30 @@ class TestIterated:
             assert simplicial.is_chromatic(ISProtocolComplex.color)
             assert simplicial.is_pseudomanifold()
             assert simplicial.is_strongly_connected()
+
+    def test_facets_follow_one_round_states(self):
+        # The interned build against the reference semantics of a round,
+        # applied round by round in execution order, view trees compared
+        # whole.  Each vertex's class is its canonical local state.
+        cases = [(n, r) for n in (1, 2, 3) for r in (1, 2, 3)] + [(4, 1), (4, 2)]
+        for n, rounds in cases:
+            partitions = list(ordered_partitions(range(n)))
+            frontier = [{pid: base_view(pid + 1) for pid in range(n)}]
+            for _ in range(rounds):
+                frontier = [
+                    one_round_states(states, partition)
+                    for states in frontier
+                    for partition in partitions
+                ]
+            expected = tuple(
+                tuple((pid, states[pid]) for pid in range(n)) for states in frontier
+            )
+            complex_ = ISProtocolComplex(n, rounds)
+            assert complex_.facets() == expected, (n, rounds)
+            classes = complex_.canonical_classes()
+            assert set(classes) == {v for facet in expected for v in facet}
+            for vertex, label in classes.items():
+                assert label == canonical_local_state(*vertex)
 
     def test_solo_vertices_one_per_process(self):
         for n, rounds in [(2, 1), (3, 1), (3, 2)]:

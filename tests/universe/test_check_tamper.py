@@ -132,3 +132,26 @@ class TestTamperedOverrides:
         assert check(root) == 1
         out = capsys.readouterr().out
         assert "FAIL override" in out
+
+
+class TestReplayCount:
+    def test_each_distinct_payload_is_replayed_once(
+        self, root, overrides_path, monkeypatch, capsys
+    ):
+        # The honest override row carries a payload the graph holds under
+        # the same id, so the graph's replay result stands for it.
+        import repro.decision as decision
+
+        replayed = []
+        check_payload = decision.check_certificate_payload
+
+        def counting(payload):
+            replayed.append(json.dumps(payload, sort_keys=True))
+            return check_payload(payload)
+
+        monkeypatch.setattr(decision, "check_certificate_payload", counting)
+        assert check(root) == 0
+        assert "all OK" in capsys.readouterr().out
+        (row,) = json.loads(overrides_path.read_text())["overrides"].values()
+        assert json.dumps(row["certificate"], sort_keys=True) in replayed
+        assert len(replayed) == len(set(replayed))
