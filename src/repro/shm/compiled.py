@@ -24,12 +24,13 @@ symmetry handling, applied to the runtime itself):
   table is rejected with a clear :class:`ProtocolError`.
 
 * :class:`MachineState` — the array-backed runtime state: per-pid program
-  counters into the step table, one flat cell list for all shared arrays
+  counters into the step table, one flat cell tuple for all shared arrays
   (:class:`MemoryLayout`), and packed oracle state (the committed value
-  vector plus an arrival list and an acquired-bitmask per oracle).
-  ``fork()`` is a handful of ``list.copy()`` calls — **no generator
-  replay** — and ``state_key()`` is a small packed tuple instead of a
-  recursive freeze walk.
+  vector plus an arrival list and an acquired-bitmask per oracle).  The
+  cell and acquired-mask tuples are copy-on-write: a write or an acquire
+  replaces its tuple, so ``fork()`` shares them and copies only a few
+  small lists — **no generator replay** — and ``state_key()`` is a small
+  packed tuple instead of a recursive freeze walk.
 
 Semantics notes (all verified by the differential suite in
 ``tests/shm/test_compiled_differential.py``):
@@ -556,6 +557,15 @@ def compile_protocol(
     return CompiledProtocol(algorithm, identities, arrays=arrays, objects=objects)
 
 
+def _replaced(items: tuple, index: int, value: Any, pool: dict) -> tuple:
+    """``items`` with ``items[index]`` replaced, interned in ``pool``: the
+    copy-on-write update of a machine's cell and acquired-mask tuples."""
+    updated = list(items)
+    updated[index] = value
+    updated = tuple(updated)
+    return pool.setdefault(updated, updated)
+
+
 def _clone_object(obj: Any) -> Any:
     clone = getattr(obj, "clone", None)
     if callable(clone):
@@ -591,7 +601,8 @@ class MachineState:
     ``result``/``enabled_pids``), with the two costs the compiled core
     exists to remove:
 
-    * ``fork()`` copies a few flat lists — O(state), zero generator work;
+    * ``fork()`` copies a few flat lists and shares the copy-on-write
+      cell and acquired-mask tuples — O(state), zero generator work;
     * ``state_key()`` returns a packed tuple of program counters, decided
       outputs, flat cells and oracle arrival orders.
 
@@ -619,6 +630,7 @@ class MachineState:
         "_oracle_arrivals",
         "_oracle_acquired",
         "_generic",
+        "_tuples",
     )
 
     def __init__(
@@ -637,7 +649,13 @@ class MachineState:
         self.identities = program.identities
         self.record_trace = record_trace
         self.trace: list[TraceEvent] = []
-        self._cells = program.layout.initial_cells(arrays)
+        #: Copy-on-write: a write replaces the tuple, never mutates it, so
+        #: forks and orbit keys share it.
+        self._cells = tuple(program.layout.initial_cells(arrays))
+        #: Interning pool of the cell and acquired-mask tuples that writes
+        #: and acquires make, shared by every fork of this machine: equal
+        #: contents are one object across the whole exploration.
+        self._tuples: dict[tuple, tuple] = {}
 
         objects = dict(objects or {})
         expected = set(program.oracle_names) | set(program.generic_names)
@@ -648,7 +666,7 @@ class MachineState:
             )
         self._oracle_values: list[tuple] = []
         self._oracle_arrivals: list[list[int]] = []
-        self._oracle_acquired: list[int] = []
+        acquired: list[int] = []
         for name in program.oracle_names:
             oracle: GSBOracle = objects[name]
             self._oracle_values.append(tuple(oracle._values))
@@ -656,7 +674,9 @@ class MachineState:
             mask = 0
             for pid in oracle._assigned:
                 mask |= 1 << pid
-            self._oracle_acquired.append(mask)
+            acquired.append(mask)
+        #: Copy-on-write, like ``_cells``: an acquire replaces the tuple.
+        self._oracle_acquired: tuple[int, ...] = tuple(acquired)
         self._generic = {name: objects[name] for name in program.generic_names}
 
         self.outputs: list[Any] = [None] * self.n
@@ -694,16 +714,20 @@ class MachineState:
         code = entry[0]
         cells = self._cells
         if code == _OP_WRITE:
-            cells[entry[1]] = entry[2]
+            if cells[entry[1]] != entry[2]:
+                self._cells = _replaced(
+                    cells, entry[1], entry[2], self._tuples
+                )
             result = None
         elif code == _OP_SNAPSHOT:
-            result = tuple(cells[entry[1] : entry[2]])
+            result = cells[entry[1] : entry[2]]
         elif code == _OP_READ:
             result = cells[entry[1]]
         elif code == _OP_INVOKE:
             index = entry[1]
             mask = 1 << pid
-            if self._oracle_acquired[index] & mask:
+            acquired = self._oracle_acquired
+            if acquired[index] & mask:
                 raise OracleUsageError(
                     f"process {pid} acquired twice from the "
                     f"{program.oracle_names[index]!r} oracle"
@@ -711,7 +735,9 @@ class MachineState:
             arrivals = self._oracle_arrivals[index]
             result = self._oracle_values[index][len(arrivals)]
             arrivals.append(pid)
-            self._oracle_acquired[index] |= mask
+            self._oracle_acquired = _replaced(
+                acquired, index, acquired[index] | mask, self._tuples
+            )
         elif code == _OP_NOP:
             result = None
         elif code == _OP_GENERIC:
@@ -775,8 +801,9 @@ class MachineState:
         """Independent copy of this mid-run state: plain array copies.
 
         The step table is shared (it is append-only and common to every
-        machine of one program); all mutable state is flat lists copied in
-        O(state) — no generator replay, no recursion, no per-step work.
+        machine of one program), and so are the copy-on-write cell and
+        acquired-mask tuples; the rest is flat lists copied in O(state) —
+        no generator replay, no recursion, no per-step work.
         """
         dup = MachineState.__new__(MachineState)
         dup.program = self.program
@@ -788,12 +815,13 @@ class MachineState:
         dup.identities = self.identities
         dup.record_trace = self.record_trace
         dup.trace = list(self.trace) if self.record_trace else []
-        dup._cells = self._cells.copy()
+        dup._cells = self._cells
         dup._oracle_values = self._oracle_values
         dup._oracle_arrivals = [
             arrivals.copy() for arrivals in self._oracle_arrivals
         ]
-        dup._oracle_acquired = self._oracle_acquired.copy()
+        dup._oracle_acquired = self._oracle_acquired
+        dup._tuples = self._tuples
         dup._generic = {
             name: _clone_object(obj) for name, obj in self._generic.items()
         }
@@ -827,7 +855,7 @@ class MachineState:
         return (
             tuple(self._pc),
             tuple(self.outputs),
-            tuple(self._cells),
+            self._cells,
             tuple(tuple(arrivals) for arrivals in self._oracle_arrivals),
             generic_keys,
         )
@@ -850,10 +878,14 @@ class MachineState:
           per exploration), and each received value is already encoded
           in its receiver's program counter.
 
-        Returns None when a generic shared object exposes no
-        ``state_key`` (same contract as :meth:`state_key`).
+        The key is one flat tuple ``(*pcs, cells, acquired)``: the ``n``
+        program counters, then the machine's own cell and acquired-mask
+        tuples (shared, not copied, so keys of states that no write
+        separates share one cells object).  With generic shared objects
+        their state keys follow as one more component.  Returns None when
+        such an object exposes no ``state_key`` (same contract as
+        :meth:`state_key`).
         """
-        generic_keys: tuple = ()
         if self._generic:
             keys = []
             for name in sorted(self._generic):
@@ -861,13 +893,8 @@ class MachineState:
                 if not hasattr(obj, "state_key"):
                     return None
                 keys.append((name, obj.state_key()))
-            generic_keys = tuple(keys)
-        return (
-            tuple(self._pc),
-            tuple(self._cells),
-            tuple(self._oracle_acquired),
-            generic_keys,
-        )
+            return (*self._pc, self._cells, self._oracle_acquired, tuple(keys))
+        return (*self._pc, self._cells, self._oracle_acquired)
 
     #: ``probe_step`` marker: the probed step does not decide its process.
     STILL_RUNNING = object()
@@ -878,11 +905,14 @@ class MachineState:
 
         Returns ``(orbit key, decided value)`` where the decided value
         is :data:`STILL_RUNNING` when the step leaves ``pid`` undecided;
-        or None when the successor cannot be probed structurally (an
-        untraced table edge, a generic object, an oracle-misuse step
-        that must raise for real) and the caller should fork + step.
-        The returned key is byte-identical to the successor's
-        :meth:`orbit_key` — the quotient tests pin that.
+        or None when the successor cannot be probed structurally (a
+        generic object, a deferred compile-time error or an oracle-misuse
+        step that must raise for real) and the caller should fork + step.
+        An edge the table has not traced yet is traced here, by the same
+        :meth:`CompiledProtocol.extend` call :meth:`step` would make, so
+        the table grows exactly as stepping would grow it.  The returned
+        key equals the successor's :meth:`orbit_key` — the quotient tests
+        pin that.
         """
         if self._generic:
             return None
@@ -893,35 +923,37 @@ class MachineState:
         entry = program.exec_table[node]
         code = entry[0]
         cells = self._cells
-        new_cells = None
-        new_acquired = None
+        acquired = self._oracle_acquired
         if code == _OP_WRITE:
             result = None
-            cell = entry[1]
-            if cells[cell] != entry[2]:
-                new_cells = list(cells)
-                new_cells[cell] = entry[2]
+            if cells[entry[1]] != entry[2]:
+                # ``_replaced`` inlined: writes are most of the probes.
+                cells = list(cells)
+                cells[entry[1]] = entry[2]
+                cells = tuple(cells)
+                cells = self._tuples.setdefault(cells, cells)
         elif code == _OP_SNAPSHOT:
-            result = tuple(cells[entry[1] : entry[2]])
+            result = cells[entry[1] : entry[2]]
         elif code == _OP_READ:
             result = cells[entry[1]]
         elif code == _OP_INVOKE:
             index = entry[1]
             mask = 1 << pid
-            if self._oracle_acquired[index] & mask:
+            if acquired[index] & mask:
                 return None  # the real step raises OracleUsageError
             result = self._oracle_values[index][
                 len(self._oracle_arrivals[index])
             ]
-            new_acquired = list(self._oracle_acquired)
-            new_acquired[index] |= mask
+            acquired = _replaced(
+                acquired, index, acquired[index] | mask, self._tuples
+            )
         elif code == _OP_NOP:
             result = None
         else:
             return None  # generic / deferred-raise: take the real path
         child = program.edges[node].get(result)
         if child is None:
-            return None  # untraced successor: the real step must trace it
+            child = program.extend(node, result, result)
         if program.ops[child] is None:
             decided = program.decisions[child]
             new_pc = DECIDED
@@ -930,17 +962,7 @@ class MachineState:
             new_pc = child
         pcs = list(self._pc)
         pcs[pid] = new_pc
-        return (
-            (
-                tuple(pcs),
-                tuple(cells) if new_cells is None else tuple(new_cells),
-                tuple(self._oracle_acquired)
-                if new_acquired is None
-                else tuple(new_acquired),
-                (),
-            ),
-            decided,
-        )
+        return (*pcs, cells, acquired), decided
 
     def result(self) -> RunResult:
         return RunResult(
@@ -974,9 +996,10 @@ class Relabeling(dict):
 
     The dict itself is the inverse mapping (canonical value -> the
     state's value).  Its members cache images under the mapping, filled
-    on first use: ``nodes`` and ``cells`` map a state's program counters
-    and cells to canonical ones, ``to_canonical`` a suffix of decided
-    values to its canonical suffix, and ``to_state`` back.
+    on first use: ``nodes`` maps a state's program counter and ``cells``
+    its whole cell tuple to canonical ones (so keys relabeled alike share
+    one cell tuple), ``to_canonical`` a suffix of decided values to its
+    canonical suffix, and ``to_state`` back.
     """
 
     __slots__ = ("nodes", "cells", "to_canonical", "to_state")
@@ -1042,13 +1065,16 @@ class ValueCanonicalizer:
         handed out is the popcount of the acquired mask: each pid
         acquires at most once.  The relabeling is None for the identity.
         """
-        if key is None or key[3]:
+        n = self.program.n
+        if key is None or len(key) > n + 2:
             # Generic shared objects are opaque to the relabeler: their
             # state keys could embed oracle values this pass would have to
             # rewrite.  Keep the unrelabeled orbit key (sound, merely
             # coarser-free).
             return key, None
-        pcs, cells, acquired, _ = key
+        pcs = key[:n]
+        cells = key[n]
+        acquired = key[n + 1]
         pending = self._pending[values, acquired[self._oracle].bit_count()]
         order = dict.fromkeys(
             chain(
@@ -1061,10 +1087,9 @@ class ValueCanonicalizer:
             return key, None
         return (
             (
-                tuple(map(table.nodes.__getitem__, pcs)),
-                tuple(map(table.cells.__getitem__, cells)),
+                *map(table.nodes.__getitem__, pcs),
+                table.cells[cells],
                 acquired,
-                (),
             ),
             table,
         )
@@ -1116,7 +1141,9 @@ def _relabeling(
     route = partial(_canonical_node, program, relabel, mapping)
     table = Relabeling(inverse)
     table.nodes = _Lazy(lambda node: node if node < 0 else route(node))
-    table.cells = _Lazy(lambda cell: map_cell(cell, mapping))
+    table.cells = _Lazy(
+        lambda cells: tuple(map_cell(cell, mapping) for cell in cells)
+    )
     table.to_canonical = _Lazy(
         lambda suffix: tuple(map_output(v, mapping) for v in suffix)
     )

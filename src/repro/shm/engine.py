@@ -362,13 +362,16 @@ class PrefixSharingEngine:
         labels.  A child's counter joins its parent's unchanged, or with
         the stepping pid's decided value inserted at that pid's index; a
         memo hit first maps the canonical suffixes back through the
-        inverse relabeling.  At frame close the accumulator itself becomes
-        the memo entry ``(positions, canonical suffix counts)``,
-        forward-mapped only when the frame was relabeled.  Full output
-        vectors are built once, at the root.
+        inverse relabeling.  At frame close the accumulator's
+        ``(suffix, count)`` items become the memo entry, one tuple,
+        forward-mapped only when the frame was relabeled.  Entries are
+        interned by value for the life of the exploration, so orbits with
+        equal outcomes share one tuple.  Full output vectors are built
+        once, at the root.
         """
         memo: dict[Any, tuple] = {}
         lookup = memo.get
+        intern = {}.setdefault
         allowed = self._allowed(root)
         self._check_depth(root)
 
@@ -410,21 +413,19 @@ class PrefixSharingEngine:
         # Accumulators are plain dicts, not Counters: Counter.__iadd__
         # rescans the whole accumulator for positivity on every merge,
         # which dominates the hot loop (counts here are never negative).
-        def join(acc, suffixes, table, at, decided) -> None:
-            """Add a child's suffix counts into its parent's ``acc``;
-            ``table`` relabels a canonical memo entry into the child's
-            labels first."""
+        def join(acc, pairs, table, at, decided) -> None:
+            """Add a child's ``(suffix, count)`` pairs into its parent's
+            ``acc``; ``table`` relabels a canonical memo entry into the
+            child's labels first."""
             if table is not None:
-                suffixes = dict(
-                    zip(map(table.to_state.__getitem__, suffixes),
-                        suffixes.values())
-                )
+                to_state = table.to_state.__getitem__
+                pairs = [(to_state(suffix), count) for suffix, count in pairs]
             get = acc.get
             if decided is None:
-                for suffix, count in suffixes.items():
+                for suffix, count in pairs:
                     acc[suffix] = get(suffix, 0) + count
             else:
-                for suffix, count in suffixes.items():
+                for suffix, count in pairs:
                     suffix = suffix[:at] + (decided,) + suffix[at:]
                     acc[suffix] = get(suffix, 0) + count
 
@@ -451,7 +452,7 @@ class PrefixSharingEngine:
                 entry = lookup(key)
                 if entry is not None:
                     hits_l += 1
-                    join(total, entry[1], table, 0, None)
+                    join(total, entry, table, 0, None)
                 else:
                     nodes_l = peak_l = 1
                     stack.append(
@@ -467,29 +468,38 @@ class PrefixSharingEngine:
                     key = frame[4]
                     if key is not None:
                         table = frame[5]
-                        if table is not None:
-                            acc = dict(
+                        if table is None:
+                            entry = tuple(acc.items())
+                        else:
+                            entry = tuple(
                                 zip(map(table.to_canonical.__getitem__, acc),
                                     acc.values())
                             )
-                        memo[key] = (branches, acc)
+                        memo[key] = intern(entry, entry)
                         entries_l += 1
                         orbits_l += 1
                     if stack:
-                        join(stack[-1][3], frame[3], None, frame[6], frame[7])
+                        join(stack[-1][3], acc.items(), None, frame[6],
+                             frame[7])
                     continue
                 frame[2] = index + 1
                 machine = frame[0]
                 pid = branches[index]
                 probed = machine.probe_step(pid)
                 if probed is not None:
-                    key, table = canonize(probed[0])
+                    # The hottest call site: skip ``canonize`` when the
+                    # spec has no relabeler.
+                    if canonical is None:
+                        key = probed[0]
+                        table = None
+                    else:
+                        key, table = canonical(probed[0], values)
                     decided = None if probed[1] is still else probed[1]
                     entry = lookup(key)
                     if entry is not None:
                         hits_l += 1
                         lex_l += 1
-                        join(frame[3], entry[1], table, index, decided)
+                        join(frame[3], entry, table, index, decided)
                         continue
                 if index + 1 == len(branches):
                     child = machine
@@ -519,7 +529,7 @@ class PrefixSharingEngine:
                     entry = lookup(key)
                     if entry is not None:
                         hits_l += 1
-                        join(frame[3], entry[1], table, index, decided)
+                        join(frame[3], entry, table, index, decided)
                         continue
                 nodes_l += 1
                 stack.append(

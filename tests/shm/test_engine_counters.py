@@ -24,19 +24,19 @@ FIELDS = (
 
 #: (spec, n) -> ((runs, distinct, violations), the FIELDS counts).
 PINS = {
-    ("wsb-grh", 3): ((39_330, 9, 0), (349, 27, 105, 369, 349, 363, 13)),
+    ("wsb-grh", 3): ((39_330, 9, 0), (349, 27, 99, 369, 349, 369, 13)),
     ("wsb-grh", 4): (
         (27_749_755_392, 84, 0),
-        (16_823, 336, 6_161, 30_054, 16_823, 29_850, 29),
+        (16_823, 336, 5_957, 30_054, 16_823, 30_054, 29),
     ),
-    ("renaming", 3): ((1_680, 9, 0), (115, 9, 48, 129, 115, 114, 9)),
-    ("renaming", 4): ((369_600, 36, 0), (871, 24, 362, 1_602, 871, 1_492, 12)),
+    ("renaming", 3): ((1_680, 9, 0), (115, 9, 33, 129, 115, 129, 9)),
+    ("renaming", 4): ((369_600, 36, 0), (871, 24, 252, 1_602, 871, 1_602, 12)),
     ("renaming", 5): (
         (168_168_000, 180, 0),
-        (5_766, 50, 2_219, 14_900, 5_766, 14_313, 15),
+        (5_766, 50, 1_632, 14_900, 5_766, 14_900, 15),
     ),
-    ("wsb", 4): ((24, 6, 0), (15, 4, 10, 14, 15, 11, 4)),
-    ("election", 4): ((2_520, 8, 630), (80, 4, 43, 133, 80, 116, 8)),
+    ("wsb", 4): ((24, 6, 0), (15, 4, 7, 14, 15, 14, 4)),
+    ("election", 4): ((2_520, 8, 630), (80, 4, 26, 133, 80, 133, 8)),
 }
 
 

@@ -170,8 +170,8 @@ class TestProbeFidelity:
     def test_probe_key_matches_real_step(self, name, n):
         make_machine = make_spec_machine(get_spec(name), n, frame_nodes=True)
         still = type(make_machine()).STILL_RUNNING
-        # Warm-up walk: probes only resolve edges the table has already
-        # traced, and tracing happens on real steps.
+        # Warm-up walk: the checked walk below then probes a traced
+        # table, as every exploration after the first does.
         for machine in walk_states(make_machine):
             pass
         checked = 0
@@ -181,7 +181,7 @@ class TestProbeFidelity:
                 child = machine.fork()
                 child.step(pid)
                 if probed is None:
-                    continue  # untraced edge / generic: real path required
+                    continue  # generic / deferred raise: real path required
                 key, decided = probed
                 assert key == child.orbit_key(), (name, n, pid)
                 if decided is still:
@@ -215,7 +215,7 @@ class TestCanonicalIdempotence:
         index = canon._oracle
         values = machine._oracle_values[index]
         pending = set(values[len(machine._oracle_arrivals[index]) :])
-        pcs, cells, _, _ = key
+        pcs, cells = key[: machine.n], key[machine.n]
         seen, order = set(), []
         for cell in cells:
             for value in relabel.cell_values(cell):
@@ -291,24 +291,34 @@ class TestOrbitKeyCoarseness:
             key = machine.orbit_key()
             if key is None:
                 continue
-            pcs, cells, acquired, generic = key
+            # Flat key: n program counters, then cells and acquired masks
+            # (no generic objects in the registry specs).
+            assert len(key) == n + 2
+            pcs = key[:n]
             assert len(pcs) == n
             assert tuple(machine.outputs) not in (key,)  # structural shape
             state = machine.state_key()
             assert state[0] == pcs  # same pc component as the exact key
 
     def test_arrival_order_collapses(self):
-        # Two states with the same acquired set but different arrival
-        # order share an orbit key (renaming: pure GSB oracle).
-        make_machine = make_spec_machine(get_spec("wsb-grh"), 2, frame_nodes=True)
-        seen: dict = {}
+        # Two states whose exact keys differ only in the order processes
+        # reached the oracle share an orbit key: the acquired mask stands
+        # in for the arrival list (renaming: pure GSB oracle).
+        make_machine = make_spec_machine(
+            get_spec("renaming"), 2, frame_nodes=True
+        )
+        first: dict = {}
         merged = 0
-        for machine in walk_states(make_machine, limit=200):
-            key = machine.orbit_key()
+        for machine in walk_states(make_machine, limit=2000):
             state = machine.state_key()
-            if key in seen and seen[key] != state:
+            pcs, outputs, cells, arrivals, generic = state
+            unordered = (
+                pcs, outputs, cells, tuple(map(frozenset, arrivals)), generic
+            )
+            known, known_key = first.setdefault(
+                unordered, (state, machine.orbit_key())
+            )
+            if known != state:
                 merged += 1
-        # Counting merges is schedule-dependent; the multiset-identity
-        # tests above are the correctness pin.  Here we only require the
-        # key to be computable everywhere.
-        assert merged >= 0
+                assert machine.orbit_key() == known_key
+        assert merged > 0, "walk met no states differing in arrival order"
