@@ -1311,7 +1311,7 @@ COMMANDS: tuple[Command, ...] = (
                 default="all",
                 help="comma-separated registry names, or 'all' (default)",
             ),
-            arg("--n", type=int, nargs="+", default=[2, 3], help="system sizes"),
+            arg("--n", type=int, nargs="+", default=(2, 3), help="system sizes"),
             arg(
                 "--core",
                 choices=["compiled", "generator"],
@@ -1389,15 +1389,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``(COMMANDS, the parser built from them)``, filled by :func:`_parser`.
+_parser_cache: tuple[tuple[Command, ...], argparse.ArgumentParser] | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree for :data:`COMMANDS`, built on first use.
+
+    Building it takes ~5 ms and leaves a cyclic tree for the collector,
+    so every :func:`main` call in a process reuses one parser for as
+    long as ``COMMANDS`` is the same table.
+    """
+    global _parser_cache
+    if _parser_cache is None or _parser_cache[0] is not COMMANDS:
+        _parser_cache = (COMMANDS, build_parser())
+    return _parser_cache[1]
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # Batch commands run with the cyclic collector paused: reference
     # counting frees the program's own (acyclic) structures at once, and
     # a full collection over a big working set finds nothing to free.
     # Only reference cycles wait, and only until the command returns.
-    # `serve` runs until stopped and its asyncio request path makes
-    # cycles, so it keeps the collector.
+    # `serve` runs until stopped, and each connection it closes leaves
+    # asyncio's socket transport in a reference cycle, so it keeps the
+    # collector.
     pause = args.command != "serve" and gc.isenabled()
     if pause:
         gc.disable()

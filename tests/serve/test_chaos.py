@@ -307,3 +307,13 @@ class TestCleanTeardown:
         with BackgroundServer(root, backend="binary", port=port) as second:
             assert second.port == port
             assert second.get("/healthz")[0] == 200
+
+    def test_failed_start_stops_its_handler_threads(self, root):
+        with BackgroundServer(root, backend="binary") as first:
+            second = BackgroundServer(root, backend="binary", port=first.port)
+            with pytest.raises(RuntimeError, match="failed to start"):
+                with second:
+                    pass
+        for thread in second.state.threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in second.state.threads)

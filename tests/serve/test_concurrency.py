@@ -9,11 +9,12 @@ the storm still serve exactly the JSON backend's answers.
 
 import http.client
 import json
+import sys
 import threading
 
 import pytest
 
-from repro.serve import BackgroundServer
+from repro.serve import BackgroundServer, ServeConfig
 from repro.universe import UniverseStore
 
 CLIENTS = 8
@@ -172,3 +173,53 @@ def test_etag_revalidation_under_concurrency(root):
     etags = {etag for _, etag in results}
     assert statuses == {304}
     assert len(etags) == 1
+
+
+def test_handoff_storm_releases_every_inflight_slot(root, node_keys):
+    """More clients than handler threads and cores, with the interpreter
+    switching threads as often as it can: every request is answered, and
+    the in-flight gate, which only the event loop touches, ends at zero."""
+    clients, requests = 12, 20
+    failures: list[str] = []
+
+    def client(worker: int) -> None:
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=30
+        )
+        try:
+            for index in range(requests):
+                n, m, low, high = node_keys[(worker * 13 + index) % len(node_keys)]
+                connection.request(
+                    "GET", f"/decide?n={n}&m={m}&low={low}&high={high}"
+                )
+                response = connection.getresponse()
+                response.read()
+                if response.status != 200:
+                    failures.append(f"worker {worker}: {response.status}")
+        except Exception as error:  # noqa: BLE001 - report, don't hang
+            failures.append(f"worker {worker}: {type(error).__name__}: {error}")
+        finally:
+            connection.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        config = ServeConfig(handler_threads=3)
+        with BackgroundServer(root, backend="binary", config=config) as server:
+            threads = [
+                threading.Thread(target=client, args=(worker,))
+                for worker in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures[:10]
+            assert server.state.inflight == 0
+            _, _, stats = server.get("/stats")
+            assert stats["endpoints"]["decide"]["requests"] == clients * requests
+            assert stats["transport"]["shed"] == 0
+            assert stats["transport"]["timeouts"] == 0
+    finally:
+        sys.setswitchinterval(interval)

@@ -525,6 +525,25 @@ class TestCollectorPause:
             main(["binomials"])
         assert gc.isenabled()
 
+    def test_commands_share_one_parser(self, collector):
+        # The argparse tree is cyclic: a parser built per command would
+        # leave one tree per call for the collector.
+        assert main(["binomials", "--max-n", "4"]) == 0  # builds the parser
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(2):
+                assert main(["binomials", "--max-n", "4"]) == 0
+            gc.collect()
+            leaked = [
+                obj for obj in gc.garbage if type(obj).__module__ == "argparse"
+            ]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []
+
     def test_caller_disabled_collector_stays_disabled(self, collector):
         gc.disable()
         assert main(["binomials", "--max-n", "4"]) == 0
