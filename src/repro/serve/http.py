@@ -20,6 +20,22 @@ connection bound the waiting: an idle timer, armed at connect and after
 each answer, and a deadline timer, armed for each routed request and
 cancelled by its answer.
 
+Two kinds of request are answered on the event loop instead, through
+the same :meth:`UniverseService.handle` (so metrics and the ``304`` rule
+do not change): ``/healthz``, and a request the service's answer memo
+holds (:meth:`UniverseService.memo_holds`; key, scope, bound and
+exclusions are in :mod:`repro.serve.service`).  A memo hit is a
+dictionary lookup, cheaper than the hand-off, and it cannot be held:
+the memo is bypassed while any fault point is armed.  Like ``/healthz``
+such a request takes no in-flight slot, has no deadline and is never
+shed, but it counts toward a connection's dispatches per turn.  Should
+the entry be evicted, or the store's scope move, between the check and
+``handle``, ``handle`` routes the request on the loop: bounded work,
+since every endpoint the memo serves is a point lookup or a query on
+the loaded graph.  Request targets are split by :func:`split_target`,
+which takes plain origin-form targets apart directly and gives the same
+result as ``urlsplit`` and ``parse_qsl``.
+
 The request path is hardened for fault-tolerant serving
 (:class:`ServeConfig` holds the knobs):
 
@@ -57,6 +73,10 @@ Two entry points:
   on a daemon thread with an ephemeral port, used by the serve tests,
   ``bench_serve.py`` and the CI smoke to drive real sockets without
   managing a subprocess.
+
+Both stop through :meth:`ServerState.stop_serving`, which closes idle
+keep-alive connections at once instead of waiting out their idle timers
+(Python 3.12's ``Server.wait_closed`` waits for every connection).
 """
 
 from __future__ import annotations
@@ -117,9 +137,12 @@ class ServeConfig:
     idle_timeout: float | None = 30.0
     #: In-flight request ceiling; past it new requests are shed with 503.
     max_inflight: int = 128
-    #: Threads routing requests (the event loop never runs a handler).
+    #: Threads routing requests (the event loop answers only ``/healthz``
+    #: and memo hits itself).
     handler_threads: int = 8
-    #: Seconds a draining worker waits for in-flight requests to finish.
+    #: Seconds a stopping server (a draining worker, or a
+    #: BackgroundServer's exit) waits for routed requests to be answered
+    #: before it aborts their connections.
     drain_grace: float = 5.0
     #: Advisory ``Retry-After`` seconds on shed/timeout 503s.
     retry_after: int = 1
@@ -146,6 +169,37 @@ def _serialize(response: Response, keep_alive: bool) -> bytes:
 
 def _internal_error(error: Exception) -> Response:
     return Response(500, {"error": f"internal error: {type(error).__name__}"})
+
+
+def split_target(target: str) -> tuple[str, dict[str, str]]:
+    """The path and query of a request target, as ``urlsplit`` and
+    ``parse_qsl`` make them.
+
+    An origin-form target (one ``/`` first) holding no ``%``, ``+``,
+    ``#`` or unprintable character (``urlsplit`` strips tabs and line
+    breaks) is split directly on ``?`` and ``&``, with the same result:
+    blank values and names with no ``=`` are dropped, the last of a
+    repeated name wins and ``;`` is no separator.  Every other target
+    goes through ``urlsplit`` and ``parse_qsl``; a target ``urlsplit``
+    rejects raises its ``ValueError``.
+    """
+    if (
+        target[:1] == "/"
+        and target[1:2] != "/"
+        and "%" not in target
+        and "+" not in target
+        and "#" not in target
+        and target.isprintable()
+    ):
+        path, _, raw = target.partition("?")
+        query = {}
+        for field in raw.split("&"):
+            name, _, value = field.partition("=")
+            if value:
+                query[name] = value
+        return path, query
+    parsed = urlsplit(target)
+    return parsed.path, dict(parse_qsl(parsed.query))
 
 
 #: What :meth:`_RequestParser.next_request` returns for a blank request
@@ -274,6 +328,8 @@ class ServerState:
         self.metrics = service.metrics
         self.inflight = 0
         self.draining = False
+        #: Open connections, so that shutting down can close them.
+        self.connections: set[_Connection] = set()
         self.jobs: queue.SimpleQueue = queue.SimpleQueue()
         self.threads = [
             threading.Thread(
@@ -320,6 +376,33 @@ class ServerState:
             retry_after=self.config.retry_after,
         )
 
+    async def stop_serving(
+        self, server: asyncio.AbstractServer, grace: float
+    ) -> None:
+        """Stop accepting, end every connection, and wait until the
+        server is closed.
+
+        Since Python 3.12 ``Server.wait_closed`` also waits for the
+        server's connections, so an idle keep-alive client would hold it
+        until its idle timer fired.  Idle connections are closed at once,
+        and one with a routed request closes after its answer.  The wait
+        lasts until no connection is open and no request holds a handler
+        thread, or for ``grace`` seconds; then what is still open is
+        aborted.
+        """
+        loop = asyncio.get_running_loop()
+        self.draining = True
+        server.close()
+        for connection in list(self.connections):
+            if connection.routed is None:
+                connection._close()
+        deadline = loop.time() + grace
+        while (self.connections or self.inflight) and loop.time() < deadline:
+            await asyncio.sleep(0.02)
+        for connection in list(self.connections):
+            connection.abort()
+        await server.wait_closed()
+
     def shutdown(self) -> None:
         """Stop the handler threads once their current jobs finish."""
         for _ in self.threads:
@@ -358,6 +441,7 @@ class _Connection(asyncio.Protocol):
 
     def connection_made(self, transport) -> None:
         self.transport = transport
+        self.state.connections.add(self)
         self._arm_idle()
 
     def connection_lost(self, exc: Exception | None) -> None:
@@ -366,6 +450,7 @@ class _Connection(asyncio.Protocol):
         # its deadline arrives: its handler thread is still busy.
         self.closed = True
         self._cancel_idle()
+        self.state.connections.discard(self)
 
     def data_received(self, data: bytes) -> None:
         self.parser.buffer += data
@@ -439,25 +524,33 @@ class _Connection(asyncio.Protocol):
         state = self.state
         if FAULTS.active:
             FAULTS.fire("serve.worker.kill")
-        parsed = urlsplit(target)
-        path = parsed.path
-        job = (
-            self,
-            method.upper(),
-            path,
-            dict(parse_qsl(parsed.query)),
-            body,
-            headers.get("if-none-match"),
-        )
+        try:
+            path, query = split_target(target)
+        except ValueError as error:
+            state.metrics.record_transport("malformed")
+            self._respond(
+                Response(400, {"error": f"bad request: {error}"}),
+                keep_alive=False,
+            )
+            return
+        method = method.upper()
+        if_none_match = headers.get("if-none-match")
         keep_alive = (
             headers.get("connection", "keep-alive").lower() != "close"
         ) and not state.draining
-        if path == "/healthz":
+        service = state.service
+        if path == "/healthz" or service.memo_holds(method, path, query):
             # Inline: liveness must not queue behind wedged handler
             # threads, otherwise a supervisor cannot distinguish an
-            # overloaded worker from a dead one.
+            # overloaded worker from a dead one; a memo hit is a lookup,
+            # cheaper than the hand-off.  Should the entry vanish before
+            # handle() reads it (evicted, or the store's scope moved),
+            # handle() routes the request here: bounded work, as every
+            # endpoint the memo serves is.
             try:
-                response = state.service.handle(*job[1:])
+                response = service.handle(
+                    method, path, query, body, if_none_match
+                )
             except Exception as error:  # noqa: BLE001 - must not die
                 response = _internal_error(error)
             self._respond(response, keep_alive)
@@ -467,6 +560,7 @@ class _Connection(asyncio.Protocol):
             self._respond(state.overloaded(), keep_alive=False)
             return
         state.inflight += 1
+        job = (self, method, path, query, body, if_none_match)
         self.routed = job
         self.keep_alive = keep_alive
         self._cancel_idle()
@@ -483,7 +577,7 @@ class _Connection(asyncio.Protocol):
             return  # its deadline already answered 503
         self._release()
         if not self.closed:
-            self._respond(response, self.keep_alive)
+            self._respond(response, self.keep_alive and not self.state.draining)
             self._process()
 
     def _expired(self, timeout: float) -> None:
@@ -525,6 +619,12 @@ class _Connection(asyncio.Protocol):
         self._cancel_idle()
         self.transport.close()
 
+    def abort(self) -> None:
+        """Close now, dropping whatever is buffered either way."""
+        self.closed = True
+        self._cancel_idle()
+        self.transport.abort()
+
     # -- idle timeout ----------------------------------------------------
 
     def _arm_idle(self) -> None:
@@ -544,8 +644,7 @@ class _Connection(asyncio.Protocol):
         # a client that stopped reading its answers cannot hold it open.
         self.idle_timer = None
         self.state.metrics.record_transport("idle_closed")
-        self.closed = True
-        self.transport.abort()
+        self.abort()
 
 
 async def _start(
@@ -635,23 +734,20 @@ def serve_forever(
             )
         if ready is not None:
             ready()
-        async with server:
+        grace = 0.0
+        try:
             if drain is None:
-                await server.serve_forever()
-                return
-            # Supervisor worker: serve until the drain event, then stop
-            # accepting and give in-flight requests drain_grace seconds.
-            while not drain.is_set():
-                await asyncio.sleep(0.05)
-            state.draining = True
-            server.close()
-            deadline = (
-                asyncio.get_running_loop().time() + state.config.drain_grace
-            )
-            while state.inflight and (
-                asyncio.get_running_loop().time() < deadline
-            ):
-                await asyncio.sleep(0.02)
+                # Serve until interrupted.  Not Server.serve_forever():
+                # cancelled, it waits for every connection to close.
+                await asyncio.get_running_loop().create_future()
+            else:
+                # Supervisor worker: serve until the drain event, then
+                # give in-flight requests drain_grace seconds.
+                while not drain.is_set():
+                    await asyncio.sleep(0.05)
+                grace = state.config.drain_grace
+        finally:
+            await state.stop_serving(server, grace)
 
     try:
         asyncio.run(main())
@@ -726,8 +822,9 @@ class BackgroundServer:
             self.host, self.port = sockname[0], sockname[1]
             self._ready.set()
             loop.run_forever()
-            server.close()
-            loop.run_until_complete(server.wait_closed())
+            loop.run_until_complete(
+                self.state.stop_serving(server, self.state.config.drain_grace)
+            )
         except BaseException as error:  # noqa: BLE001 - report to the foreground
             self._failure = error
             self._ready.set()

@@ -27,6 +27,35 @@ everything else keys on the store fingerprint (which pins the cell set
 and overrides, hence every derived answer).  ``If-None-Match`` hits
 return ``304`` with no body; any store mutation changes the fingerprint
 and therefore every fingerprint-keyed ETag at once.
+
+The answer memo (``serve.answers``): :meth:`UniverseService.handle`
+keeps the ETag and encoded body of each 200 answer it can repeat, so a
+repeated request skips the router and the JSON encoder.
+
+* *Key* — the endpoint, then the value of each query parameter that
+  endpoint reads (:data:`MEMO_PARAMS`), so parameters the router ignores
+  (a client's request id, say) do not split the key; an absent
+  parameter and an empty one are different keys.
+* *Value* — one ``bytes``: the ETag and the body, nothing decoded.
+* *Scope* — :meth:`UniverseStore.read_scope`, the store's root,
+  fingerprint and active backend, read without I/O on every request.
+  When it changes (a rebuild re-opened, a pack that failed mid-serve)
+  the memo empties; a fill is dropped when the scope moved while its
+  answer was computed.
+* *Bound* — a :class:`~repro.core.cache_config.BoundedDictCache` LRU
+  under the process-wide maxsize (``REPRO_CACHE_MAXSIZE``), reported at
+  ``/stats`` under ``caches``.
+* *Exclusions* — fallback decides (tasks outside the rectangle: no bound
+  on their keys, and they rarely repeat), ``/reduction-path`` (source and
+  target pairs rarely repeat), ``/stats``, ``/healthz``, ``/batch``, any
+  answer but a 200 with an ETag, and every request while a fault point is
+  armed, so an armed ``serve.request.hold`` still holds repeats.
+
+A hit costs a dictionary lookup and can neither block nor be held, so
+the HTTP layer answers it on its event loop (:meth:`UniverseService.
+memo_holds` tells it which requests those are).  The answer still comes
+out of :meth:`UniverseService.handle`: metrics and the ``304`` rule are
+the same for hits and misses.
 """
 
 from __future__ import annotations
@@ -34,11 +63,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..core.cache_config import cache_stats
+from ..core.cache_config import BoundedDictCache, cache_stats
 from ..sweep.report import campaign_status
+from ..testing.faults import FAULTS
 from ..universe.persist import UniverseStore
 from ..universe.query import (
     harder_cone,
@@ -53,24 +82,134 @@ from .metrics import ServiceMetrics
 #: a batch of batches is a loop the client can write themselves).
 BATCHABLE = ("decide", "cones", "reduction-path", "frontier")
 
+#: The query parameters each memoized endpoint reads, in key order: its
+#: answer is a function of these values and of the store alone.
+MEMO_PARAMS: dict[str, tuple[str, ...]] = {
+    "decide": ("n", "m", "low", "high"),
+    "cones": ("n", "m", "low", "high", "direction", "kinds"),
+    "frontier": (),
+}
 
-@dataclass(frozen=True)
+
+def _encode(payload: Any) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
 class Response:
-    """One endpoint answer, still transport-free."""
+    """One endpoint answer, still transport-free.
 
-    status: int
-    payload: Any = None  # JSON-serializable; None for 304
-    etag: str | None = None
-    #: Advisory back-off seconds; serialized as a ``Retry-After`` header
-    #: on the 503s the overload/deadline paths emit.
-    retry_after: int | None = None
+    ``body`` is the encoded answer when it is known already — the
+    memo's bytes, on a hit or a fill.  :meth:`body_bytes` then returns
+    it as it is, and :attr:`payload` is decoded from it on first access,
+    so the HTTP layer, which only writes the bytes, never decodes.
+    """
+
+    __slots__ = ("status", "etag", "retry_after", "_payload", "_body")
+
+    def __init__(
+        self,
+        status: int,
+        payload: Any = None,
+        etag: str | None = None,
+        retry_after: int | None = None,
+        body: bytes | None = None,
+    ) -> None:
+        self.status = status
+        self._payload = payload  # JSON-serializable; None for 304
+        self.etag = etag
+        #: Advisory back-off seconds; serialized as a ``Retry-After``
+        #: header on the 503s the overload/deadline paths emit.
+        self.retry_after = retry_after
+        self._body = body
+
+    @property
+    def payload(self) -> Any:
+        if self._payload is None and self._body:
+            self._payload = json.loads(self._body)
+        return self._payload
 
     def body_bytes(self) -> bytes:
-        if self.status == 304 or self.payload is None:
+        if self._body is not None:
+            return self._body
+        if self.status == 304 or self._payload is None:
             return b""
-        return (json.dumps(self.payload, sort_keys=True) + "\n").encode(
-            "utf-8"
-        )
+        return _encode(self._payload)
+
+    def __repr__(self) -> str:
+        return f"Response({self.status}, etag={self.etag!r})"
+
+
+class _AnswerMemo(BoundedDictCache):
+    """The ``serve.answers`` LRU: memo key -> ETag length, ETag, body.
+
+    :attr:`scope` is the :meth:`UniverseStore.read_scope` its entries
+    belong to.  A lookup under another scope empties the memo and moves
+    it there; a fill under another scope is dropped.  Both happen under
+    the cache lock, so no entry outlives a scope change.
+    """
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.scope: tuple | None = None
+
+    def holds(self, scope: tuple, key: str) -> bool:
+        """Whether :meth:`lookup` would hit; counts nothing, moves nothing."""
+        with self._cache_lock:
+            return scope == self.scope and key in self._data
+
+    def lookup(self, scope: tuple, key: str) -> bytes | None:
+        with self._cache_lock:
+            if scope != self.scope:
+                self._data.clear()
+                self.scope = scope
+            blob = self._data.get(key)
+            if blob is None:
+                self._misses += 1
+                return None
+            self._hits += 1
+            self._data.move_to_end(key)
+            return blob
+
+    def fill(self, scope: tuple, key: str, blob: bytes) -> None:
+        with self._cache_lock:
+            if scope != self.scope:
+                return
+            self._data[key] = blob
+            if self._maxsize is not None and len(self._data) > self._maxsize:
+                self._data.popitem(last=False)
+
+
+#: The process's answer memo, shared by every service in it.
+ANSWERS = _AnswerMemo("serve.answers")
+
+
+def _memo_key(endpoint: str, query: Mapping[str, str]) -> str | None:
+    """``endpoint``, then ``\\x1f`` + value per parameter it reads, or
+    ``\\x1e`` for an absent one; None when a value holds either mark
+    (such a request is routed, never memoized)."""
+    names = MEMO_PARAMS[endpoint]
+    key = endpoint
+    for name in names:
+        value = query.get(name)
+        key += "\x1e" if value is None else "\x1f" + value
+    if key.count("\x1f") + key.count("\x1e") != len(names):
+        return None
+    return key
+
+
+def _from_blob(blob: bytes) -> Response:
+    """A memo hit as a 200 answer carrying the stored bytes."""
+    end = blob[0] + 1
+    return Response(200, etag=blob[1:end].decode("ascii"), body=blob[end:])
+
+
+def _memoizable(endpoint: str, response: Response) -> bool:
+    """A 200 with an ETag, and for a decide one read from the store."""
+    return (
+        response.status == 200
+        and response.etag is not None
+        and (endpoint != "decide" or response.payload["source"] == "universe")
+    )
 
 
 def _etag(*parts: str) -> str:
@@ -169,18 +308,32 @@ class UniverseService:
         body: bytes | None = None,
         if_none_match: str | None = None,
     ) -> Response:
-        """Route one request; never raises for client-attributable input."""
+        """Route one request; never raises for client-attributable input.
+
+        A request the answer memo holds is answered from it; any other
+        memoizable one is routed and its answer, encoded once, both
+        stored and returned.
+        """
         started = time.perf_counter()
         query = query or {}
         endpoint = path.strip("/") or "<root>"
-        try:
-            response = self._route(method, endpoint, query, body)
-        except _BadRequest as error:
-            response = Response(400, {"error": str(error)})
-        except _NotFound as error:
-            response = Response(404, {"error": str(error)})
-        except json.JSONDecodeError as error:
-            response = Response(400, {"error": f"invalid JSON body: {error}"})
+        slot = self._memo_slot(method, endpoint, query, resolve=True)
+        blob = None if slot is None else ANSWERS.lookup(*slot)
+        if blob is not None:
+            response = _from_blob(blob)
+        else:
+            try:
+                response = self._route(method, endpoint, query, body)
+            except _BadRequest as error:
+                response = Response(400, {"error": str(error)})
+            except _NotFound as error:
+                response = Response(404, {"error": str(error)})
+            except json.JSONDecodeError as error:
+                response = Response(
+                    400, {"error": f"invalid JSON body: {error}"}
+                )
+            if slot is not None and _memoizable(endpoint, response):
+                response = self._fill(slot, response)
         if (
             response.status == 200
             and response.etag is not None
@@ -194,6 +347,47 @@ class UniverseService:
             endpoint, response.status, time.perf_counter() - started
         )
         return response
+
+    def memo_holds(
+        self, method: str, path: str, query: Mapping[str, str]
+    ) -> bool:
+        """Whether :meth:`handle` would answer this request from the memo.
+
+        Reads no file and changes nothing, not even the memo's counters.
+        The entry can still be evicted, or the scope move, before
+        ``handle`` runs; ``handle`` then routes the request.
+        """
+        slot = self._memo_slot(method, path.strip("/"), query)
+        return slot is not None and ANSWERS.holds(*slot)
+
+    def _memo_slot(
+        self,
+        method: str,
+        endpoint: str,
+        query: Mapping[str, str],
+        resolve: bool = False,
+    ) -> tuple[tuple, str] | None:
+        """``(scope, key)`` of a memoizable request, else None.
+
+        ``resolve`` may open the pack, as routing the request would.
+        """
+        if method != "GET" or endpoint not in MEMO_PARAMS or FAULTS.active:
+            return None
+        scope = self.store.read_scope(resolve)
+        if scope is None:
+            return None
+        key = _memo_key(endpoint, query)
+        return None if key is None else (scope, key)
+
+    def _fill(self, slot: tuple[tuple, str], response: Response) -> Response:
+        """Encode ``response`` once, store it under ``slot`` unless the
+        scope moved while it was computed, and return it with its bytes."""
+        body = _encode(response.payload)
+        scope, key = slot
+        if self.store.read_scope() == scope:
+            etag = response.etag.encode("ascii")
+            ANSWERS.fill(scope, key, bytes((len(etag),)) + etag + body)
+        return Response(200, response.payload, etag=response.etag, body=body)
 
     def _route(
         self,

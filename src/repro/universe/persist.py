@@ -540,8 +540,10 @@ class UniverseStore:
             return self._pack
         if self._pack_unusable:
             return None
-        self._pack_unusable = True  # until proven otherwise
+        # Each failure sets the flag before its warning, never up front:
+        # read_scope() must not see "json" while the pack is being opened.
         if not self.pack_path.is_file():
+            self._pack_unusable = True
             if self.backend == "binary":
                 warnings.warn(
                     f"universe store {self.root} has no {PACK_FILENAME}; "
@@ -554,6 +556,7 @@ class UniverseStore:
         try:
             pack = UniversePack(self.pack_path)
         except PackError as error:
+            self._pack_unusable = True
             warnings.warn(
                 f"universe pack is unusable ({error}); falling back to "
                 "JSON shards — re-run `python -m repro universe pack`",
@@ -563,6 +566,7 @@ class UniverseStore:
             return None
         if pack.fingerprint != self.fingerprint():
             pack.close()
+            self._pack_unusable = True
             warnings.warn(
                 f"universe pack at {self.pack_path} is stale (the store "
                 "changed since it was compiled); falling back to JSON "
@@ -572,7 +576,6 @@ class UniverseStore:
             )
             return None
         self._pack = pack
-        self._pack_unusable = False
         return pack
 
     def _pack_failed(self, error: Exception) -> None:
@@ -592,6 +595,34 @@ class UniverseStore:
     def active_backend(self) -> str:
         """The representation reads actually use right now."""
         return "binary" if self._open_pack() is not None else "json"
+
+    def read_scope(self, resolve: bool = False) -> tuple[str, str, str] | None:
+        """``(root, fingerprint, active backend)``: what every read answer
+        depends on besides its own parameters.
+
+        Read without touching a file, so None until a read after opening
+        (or after a mutation or revalidation) has computed the
+        fingerprint and settled whether the pack is in use; ``resolve``
+        settles both first, which may read files.  A mid-read pack
+        failure turns the backend to ``"json"``, and a revalidation that
+        finds the store changed resets the fingerprint, so a memo of
+        answers scoped by this value is never staler than the hot-node
+        LRU, which is keyed on the same root and fingerprint.
+        """
+        fingerprint = self._fingerprint
+        if self._pack is not None:
+            backend = "binary"
+        elif self.backend == "json" or self._pack_unusable:
+            backend = "json"
+        else:
+            backend = None
+        if fingerprint is None or backend is None:
+            if not resolve:
+                return None
+            self.fingerprint()
+            self._open_pack()
+            return self.read_scope()
+        return str(self.root), fingerprint, backend
 
     # -- point lookups ---------------------------------------------------
 
