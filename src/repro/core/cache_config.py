@@ -134,12 +134,28 @@ class BoundedDictCache(_Managed):
     Operations take a per-cache lock: the serving layer's handler
     threads share the hot-node cache, and an OrderedDict reordered from
     two threads at once can corrupt its linkage.
+
+    Two rules are opt-in, for a cache whose entries depend on more than
+    their keys (the serving layer's answer memo):
+
+    * *scope* — ``get``, ``peek`` and ``put`` take a ``scope``, the
+      state their entry was computed under.  A ``get`` under another
+      scope than the cache's empties the cache and moves it to that
+      scope; a ``peek`` under another scope misses and a ``put`` is
+      dropped.  Under the lock, so no entry outlives a scope change.
+      Callers that pass none all share the ``None`` scope.
+    * *bytes* — with ``max_bytes``, every key and value has a length
+      (a ``str`` key, a ``bytes`` value) and the cache also evicts until
+      the lengths of its keys and values add up to at most ``max_bytes``.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, max_bytes: int | None = None):
         self.name = name
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._maxsize = _maxsize
+        self._max_bytes = max_bytes
+        self._bytes = 0
+        self._scope: Hashable = None
         self._hits = 0
         self._misses = 0
         self._cache_lock = Lock()
@@ -147,8 +163,11 @@ class BoundedDictCache(_Managed):
 
     _MISSING = object()
 
-    def get(self, key: Hashable) -> Any | None:
+    def get(self, key: Hashable, scope: Hashable = None) -> Any | None:
         with self._cache_lock:
+            if scope != self._scope:
+                self._empty()
+                self._scope = scope
             value = self._data.get(key, self._MISSING)
             if value is self._MISSING:
                 self._misses += 1
@@ -157,23 +176,49 @@ class BoundedDictCache(_Managed):
             self._data.move_to_end(key)
             return value
 
-    def peek(self, key: Hashable) -> Any | None:
+    def peek(self, key: Hashable, scope: Hashable = None) -> Any | None:
         with self._cache_lock:
+            if scope != self._scope:
+                return None
             value = self._data.get(key, self._MISSING)
             return None if value is self._MISSING else value
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove one entry (tests use this to force rebuild paths)."""
         with self._cache_lock:
-            return self._data.pop(key, default)
+            value = self._data.pop(key, self._MISSING)
+            if value is self._MISSING:
+                return default
+            self._bytes -= self._length(key, value)
+            return value
 
-    def put(self, key: Hashable, value: Any) -> None:
+    def put(self, key: Hashable, value: Any, scope: Hashable = None) -> None:
         with self._cache_lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
+            if scope != self._scope:
+                return
+            data = self._data
+            old = data.pop(key, self._MISSING)
+            if old is not self._MISSING:
+                self._bytes -= self._length(key, old)
+            data[key] = value
+            self._bytes += self._length(key, value)
             if self._maxsize is not None:
-                while len(self._data) > self._maxsize:
-                    self._data.popitem(last=False)
+                while len(data) > self._maxsize:
+                    self._evict()
+            if self._max_bytes is not None:
+                while self._bytes > self._max_bytes:
+                    self._evict()
+
+    def _length(self, key: Hashable, value: Any) -> int:
+        return 0 if self._max_bytes is None else len(key) + len(value)
+
+    def _evict(self) -> None:
+        key, value = self._data.popitem(last=False)
+        self._bytes -= self._length(key, value)
+
+    def _empty(self) -> None:
+        self._data.clear()
+        self._bytes = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -181,21 +226,25 @@ class BoundedDictCache(_Managed):
     def rebuild(self, maxsize: int | None) -> None:
         with self._cache_lock:
             self._maxsize = maxsize
-            self._data.clear()
+            self._empty()
 
     def clear(self) -> None:
         with self._cache_lock:
-            self._data.clear()
+            self._empty()
             self._hits = 0
             self._misses = 0
 
     def stats(self) -> dict[str, int | None]:
-        return {
+        stats = {
             "hits": self._hits,
             "misses": self._misses,
             "size": len(self._data),
             "maxsize": self._maxsize,
         }
+        if self._max_bytes is not None:
+            stats["bytes"] = self._bytes
+            stats["max_bytes"] = self._max_bytes
+        return stats
 
 
 class _ExternalCounters(_Managed):

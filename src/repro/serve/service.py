@@ -34,8 +34,11 @@ repeated request skips the router and the JSON encoder.
 
 * *Key* — the endpoint, then the value of each query parameter that
   endpoint reads (:data:`MEMO_PARAMS`), so parameters the router ignores
-  (a client's request id, say) do not split the key; an absent
-  parameter and an empty one are different keys.
+  (a client's request id, say) do not split the key.  Only one spelling
+  of each value gets a key: plain decimals for the integers (not
+  ``06`` or ``+6``, which the router reads as ``6``), a direction the
+  router accepts, kinds that are edge kinds.  A request spelled
+  otherwise, or with an empty value, is routed.
 * *Value* — one ``bytes``: the ETag and the body, nothing decoded.
 * *Scope* — :meth:`UniverseStore.read_scope`, the store's root,
   fingerprint and active backend, read without I/O on every request.
@@ -43,10 +46,13 @@ repeated request skips the router and the JSON encoder.
   the memo empties; a fill is dropped when the scope moved while its
   answer was computed.
 * *Bound* — a :class:`~repro.core.cache_config.BoundedDictCache` LRU
-  under the process-wide maxsize (``REPRO_CACHE_MAXSIZE``), reported at
-  ``/stats`` under ``caches``.
-* *Exclusions* — fallback decides (tasks outside the rectangle: no bound
-  on their keys, and they rarely repeat), ``/reduction-path`` (source and
+  under the process-wide maxsize (``REPRO_CACHE_MAXSIZE``) and
+  :data:`MEMO_BYTES` of keys and answers, reported at ``/stats`` under
+  ``caches``.  The byte bound holds whatever keys clients send: a task
+  has endlessly many parameter tuples (any ``high`` past ``n`` reads as
+  ``n``), and a decide answer echoes the tuple it was asked.
+* *Exclusions* — fallback decides (tasks outside the rectangle, which
+  rarely repeat), ``/reduction-path`` (source and
   target pairs rarely repeat), ``/stats``, ``/healthz``, ``/batch``, any
   answer but a 200 with an ETag, and every request while a fault point is
   armed, so an armed ``serve.request.hold`` still holds repeats.
@@ -68,6 +74,7 @@ from typing import Any, Mapping
 from ..core.cache_config import BoundedDictCache, cache_stats
 from ..sweep.report import campaign_status
 from ..testing.faults import FAULTS
+from ..universe.graph import EDGE_KINDS
 from ..universe.persist import UniverseStore
 from ..universe.query import (
     harder_cone,
@@ -139,61 +146,58 @@ class Response:
         return f"Response({self.status}, etag={self.etag!r})"
 
 
-class _AnswerMemo(BoundedDictCache):
-    """The ``serve.answers`` LRU: memo key -> ETag length, ETag, body.
+#: Lengths of keys and answers the answer memo keeps at most, whatever
+#: keys clients send: about 13 MB of memory counting each entry's
+#: objects (a decide entry is 274 B long and takes 448 B), and three
+#: times what a whole perfbench ``serve`` run fills (2.6 MB).
+MEMO_BYTES = 8 << 20
 
-    :attr:`scope` is the :meth:`UniverseStore.read_scope` its entries
-    belong to.  A lookup under another scope empties the memo and moves
-    it there; a fill under another scope is dropped.  Both happen under
-    the cache lock, so no entry outlives a scope change.
-    """
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.scope: tuple | None = None
-
-    def holds(self, scope: tuple, key: str) -> bool:
-        """Whether :meth:`lookup` would hit; counts nothing, moves nothing."""
-        with self._cache_lock:
-            return scope == self.scope and key in self._data
-
-    def lookup(self, scope: tuple, key: str) -> bytes | None:
-        with self._cache_lock:
-            if scope != self.scope:
-                self._data.clear()
-                self.scope = scope
-            blob = self._data.get(key)
-            if blob is None:
-                self._misses += 1
-                return None
-            self._hits += 1
-            self._data.move_to_end(key)
-            return blob
-
-    def fill(self, scope: tuple, key: str, blob: bytes) -> None:
-        with self._cache_lock:
-            if scope != self.scope:
-                return
-            self._data[key] = blob
-            if self._maxsize is not None and len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
+#: The process's answer memo (memo key -> ETag length, ETag, body),
+#: shared by every service in it and scoped by
+#: :meth:`UniverseStore.read_scope`.
+ANSWERS = BoundedDictCache("serve.answers", max_bytes=MEMO_BYTES)
 
 
-#: The process's answer memo, shared by every service in it.
-ANSWERS = _AnswerMemo("serve.answers")
+def _plain_int(value: str) -> bool:
+    """ASCII digits with no sign and no leading zero: of the many
+    spellings ``int()`` reads as one value, the one ``str()`` writes."""
+    return value.isascii() and value.isdigit() and (
+        value[0] != "0" or value == "0"
+    )
+
+
+def _known_kinds(value: str) -> bool:
+    return all(kind in EDGE_KINDS for kind in value.split(","))
+
+
+#: The spelling a parameter's value must have for its request to get a
+#: memo key, so that an answer has one key, not one per spelling
+#: (``n=6``, ``n=06``, ``n=+6``; ``kinds=a`` and ``kinds=a,``).  A
+#: request spelled otherwise is routed; so is a ``direction`` the
+#: router rejects.
+_SPELLINGS = {
+    "n": _plain_int,
+    "m": _plain_int,
+    "low": _plain_int,
+    "high": _plain_int,
+    "direction": ("both", "harder", "weaker").__contains__,
+    "kinds": _known_kinds,
+}
 
 
 def _memo_key(endpoint: str, query: Mapping[str, str]) -> str | None:
     """``endpoint``, then ``\\x1f`` + value per parameter it reads, or
-    ``\\x1e`` for an absent one; None when a value holds either mark
-    (such a request is routed, never memoized)."""
-    names = MEMO_PARAMS[endpoint]
+    ``\\x1e`` for an absent one; None when a value is not in its
+    memoized spelling (:data:`_SPELLINGS`, none of which holds a mark)."""
     key = endpoint
-    for name in names:
+    for name in MEMO_PARAMS[endpoint]:
         value = query.get(name)
-        key += "\x1e" if value is None else "\x1f" + value
-    if key.count("\x1f") + key.count("\x1e") != len(names):
-        return None
+        if value is None:
+            key += "\x1e"
+        elif _SPELLINGS[name](value):
+            key += "\x1f" + value
+        else:
+            return None
     return key
 
 
@@ -318,7 +322,7 @@ class UniverseService:
         query = query or {}
         endpoint = path.strip("/") or "<root>"
         slot = self._memo_slot(method, endpoint, query, resolve=True)
-        blob = None if slot is None else ANSWERS.lookup(*slot)
+        blob = None if slot is None else ANSWERS.get(*slot)
         if blob is not None:
             response = _from_blob(blob)
         else:
@@ -358,7 +362,7 @@ class UniverseService:
         ``handle`` runs; ``handle`` then routes the request.
         """
         slot = self._memo_slot(method, path.strip("/"), query)
-        return slot is not None and ANSWERS.holds(*slot)
+        return slot is not None and ANSWERS.peek(*slot) is not None
 
     def _memo_slot(
         self,
@@ -366,8 +370,8 @@ class UniverseService:
         endpoint: str,
         query: Mapping[str, str],
         resolve: bool = False,
-    ) -> tuple[tuple, str] | None:
-        """``(scope, key)`` of a memoizable request, else None.
+    ) -> tuple[str, tuple] | None:
+        """``(key, scope)`` of a memoizable request, else None.
 
         ``resolve`` may open the pack, as routing the request would.
         """
@@ -377,16 +381,16 @@ class UniverseService:
         if scope is None:
             return None
         key = _memo_key(endpoint, query)
-        return None if key is None else (scope, key)
+        return None if key is None else (key, scope)
 
-    def _fill(self, slot: tuple[tuple, str], response: Response) -> Response:
+    def _fill(self, slot: tuple[str, tuple], response: Response) -> Response:
         """Encode ``response`` once, store it under ``slot`` unless the
         scope moved while it was computed, and return it with its bytes."""
         body = _encode(response.payload)
-        scope, key = slot
+        key, scope = slot
         if self.store.read_scope() == scope:
             etag = response.etag.encode("ascii")
-            ANSWERS.fill(scope, key, bytes((len(etag),)) + etag + body)
+            ANSWERS.put(key, bytes((len(etag),)) + etag + body, scope)
         return Response(200, response.payload, etag=response.etag, body=body)
 
     def _route(

@@ -61,6 +61,48 @@ class TestBoundedDictCache:
         finally:
             cache_config._registry.pop("test.peek", None)
 
+    def test_a_new_scope_empties_the_cache_and_an_old_one_is_dropped(self):
+        cache = BoundedDictCache("test.scope")
+        try:
+            cache.get("k", scope="a")
+            cache.put("k", "v", scope="a")
+            assert cache.peek("k", scope="a") == "v"
+            assert cache.peek("k", scope="b") is None  # no move, no count
+            assert cache.get("k", scope="a") == "v"
+            assert cache.get("k", scope="b") is None  # moves to b, empty
+            assert len(cache) == 0
+            cache.put("k", "stale", scope="a")  # computed under a: dropped
+            assert len(cache) == 0 and cache.peek("k", scope="b") is None
+            assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 2
+        finally:
+            cache_config._registry.pop("test.scope", None)
+
+    def test_byte_bound_evicts_the_least_recent(self):
+        cache = BoundedDictCache("test.bytes", max_bytes=10)
+        try:
+            cache.put("a", b"1234")  # 5
+            cache.put("b", b"1234")  # 10
+            assert cache.get("a") == b"1234"  # refresh a
+            cache.put("c", b"12")  # 13 > 10: evicts b
+            assert cache.peek("b") is None and len(cache) == 2
+            cache.put("c", b"1")  # replacing an entry re-weighs it
+            assert cache.stats()["bytes"] == 7
+            cache.pop("a")
+            assert cache.stats()["bytes"] == 2
+            cache.put("d", b"x" * 20)  # larger than the bound: not kept
+            assert len(cache) == 0 and cache.stats()["bytes"] == 0
+            assert cache.stats()["max_bytes"] == 10
+        finally:
+            cache_config._registry.pop("test.bytes", None)
+
+    def test_unbounded_bytes_reports_no_byte_counters(self):
+        cache = BoundedDictCache("test.nobytes")
+        try:
+            cache.put(("tuple", "key"), object())
+            assert set(cache.stats()) == {"hits", "misses", "size", "maxsize"}
+        finally:
+            cache_config._registry.pop("test.nobytes", None)
+
 
 class TestConfigure:
     def test_configure_rebuilds_every_cache(self):

@@ -18,6 +18,8 @@ import warnings
 
 import pytest
 
+from repro.core import cache_config
+from repro.core.cache_config import BoundedDictCache
 from repro.serve import BackgroundServer, ServeConfig, UniverseService
 from repro.serve import service as service_module
 from repro.serve.service import ANSWERS
@@ -121,7 +123,7 @@ class TestHits:
         service = UniverseService.open(root, backend="binary")
         requests = [
             ("/decide", DECIDE),
-            ("/cones", dict(DECIDE, direction="harder", kinds="")),
+            ("/cones", dict(DECIDE, direction="harder", kinds="containment")),
             ("/frontier", {}),
         ]
         first = [get(service, path, params) for path, params in requests]
@@ -163,20 +165,35 @@ class TestHits:
         assert ANSWERS.stats()["hits"] == 1
         assert answer(first) == answer(second)
 
-    def test_absent_and_empty_parameters_are_different_keys(self, root):
+    def test_an_empty_value_is_routed_not_read_as_absent(self, root):
         service = UniverseService.open(root, backend="binary")
         absent = get(service, "/cones", DECIDE)
-        empty = get(service, "/cones", dict(DECIDE, kinds=""))
+        for _ in range(2):
+            empty = get(service, "/cones", dict(DECIDE, kinds=""))
+            assert not service.memo_holds("GET", "/cones", dict(DECIDE, kinds=""))
         assert ANSWERS.stats()["hits"] == 0
-        assert len(ANSWERS) == 2
+        assert len(ANSWERS) == 1
         assert answer(absent) == answer(empty)  # the router reads both alike
 
-    def test_values_holding_the_key_marks_are_not_memoized(self, root):
+    def test_each_value_has_one_memoized_spelling(self, root):
+        """The router reads ``n=06`` as ``n=6``: only the plain spelling
+        gets a memo entry, so spellings cannot fill the memo."""
         service = UniverseService.open(root, backend="binary")
-        for kinds in ("a\x1fb", "\x1e"):
+        plain = get(service, "/decide", DECIDE)
+        respelled = [
+            dict(DECIDE, n=n) for n in ("06", "006", "+6", " 6", "6 ", "0_6", "\u0666")
+        ] + [dict(DECIDE, low="01"), dict(DECIDE, m="+3"), dict(DECIDE, high="4\n")]
+        for _ in range(2):
+            for params in respelled:
+                assert not service.memo_holds("GET", "/decide", params)
+                assert answer(get(service, "/decide", params)) == answer(plain)
+        cones = get(service, "/cones", dict(DECIDE, kinds="containment"))
+        for kinds in ("containment,", ",containment", "containment,,", "a\x1fb", "\x1e"):
             response = get(service, "/cones", dict(DECIDE, kinds=kinds))
-            assert response.status == 200  # free text: no kind matches
-        assert len(ANSWERS) == 0
+            assert response.status == 200
+        assert len(ANSWERS) == 2
+        assert ANSWERS.stats()["hits"] == 0
+        assert cones.payload["key"] == plain.payload["canonical"]
 
     def test_hits_are_answered_on_the_event_loop(self, root):
         with BackgroundServer(root, backend="binary") as server:
@@ -337,8 +354,8 @@ class TestScope:
         service = UniverseService.open(root, backend="binary")
         get(service, "/frontier")
         scope = service.store.read_scope()
-        ANSWERS.fill(scope[:2] + ("json",), "frontier", b"\x02\"x\"{}\n")
-        assert ANSWERS.lookup(scope, "frontier") != b"\x02\"x\"{}\n"
+        ANSWERS.put("frontier", b"\x02\"x\"{}\n", scope[:2] + ("json",))
+        assert ANSWERS.get("frontier", scope) != b"\x02\"x\"{}\n"
         assert len(ANSWERS) == 1
 
 
@@ -497,6 +514,8 @@ class TestConcurrency:
             total = clients * rounds * len(targets)
             counters = ANSWERS.stats()
             assert counters["hits"] + counters["misses"] == lookups + total
+            entries = list(ANSWERS._data.items())
+            assert counters["bytes"] == sum(len(k) + len(v) for k, v in entries)
             assert counters["hits"] > 0
             assert server.state.inflight == 0
             _, _, stats = server.get("/stats")
@@ -508,6 +527,26 @@ class TestConcurrency:
 
 
 class TestFootprint:
+    def test_distinct_answers_stay_within_the_byte_bound(self, root, monkeypatch):
+        """Every ``high`` past ``n`` names the same task, and each answer
+        echoes its own: endlessly many keys, held to the byte bound."""
+        assert ANSWERS.stats()["max_bytes"] == service_module.MEMO_BYTES
+        budget = 8192
+        memo = BoundedDictCache("test.serve.answers", max_bytes=budget)
+        monkeypatch.setattr(service_module, "ANSWERS", memo)
+        try:
+            service = UniverseService.open(root, backend="binary")
+            for high in range(6, 406):
+                params = dict(DECIDE, high=str(high))
+                response = get(service, "/decide", params)
+                assert response.payload["task"] == [6, 3, 1, high]
+                assert memo.stats()["bytes"] <= budget
+            assert 10 < len(memo) < 100
+            assert get(service, "/decide", params).body_bytes() == response.body_bytes()
+            assert memo.stats()["hits"] == 1
+        finally:
+            cache_config._registry.pop("test.serve.answers", None)
+
     def test_each_in_rectangle_decide_entry_is_small(self, root):
         service = UniverseService.open(root, backend="binary")
         graph = UniverseStore(root, backend="json").load()
