@@ -145,10 +145,10 @@ def bench_ablation_runtime_core(benchmark):
 
     Same exhaustive exploration (wsb-grh n=3, 39330 logical runs), same
     decided-vector multiset, different execution core: the compiled
-    machine's fork is an array copy and its state key a packed tuple,
+    machine's fork is an array copy and its memo key a flat orbit key,
     where the generator runtime replays result logs and freezes them
-    recursively.  Shape expectation: the compiled core wins by >= 2x here
-    and the gap widens with depth (9.4x at wsb-grh n=4; see
+    recursively into an exact state key.  Shape expectation: the
+    compiled core wins by >= 2x here and the gap widens with depth (see
     docs/architecture.md).
     """
     import time

@@ -164,5 +164,5 @@ def bench_fork_depth20_compiled_vs_generator(benchmark):
         return generator_seconds / compiled_seconds
 
     speedup = benchmark(measure)
-    assert machine.fork().state_key() == machine.state_key()
+    assert machine.fork().orbit_key() == machine.orbit_key()
     assert speedup >= 10, f"compiled fork only {speedup:.1f}x faster"

@@ -34,6 +34,7 @@ Usage::
                           [--request-timeout S] [--idle-timeout S]
                           [--max-inflight N] [--no-reuse-port]
     python -m repro explore [--tasks wsb,election,renaming] [--n 2 3 4]
+                            [--max-runs K] [--json [PATH]]
     python -m repro verify
 
 The ``--json`` flag is uniform across report subcommands: bare it prints
@@ -114,7 +115,7 @@ def _cmd_table1(args) -> int:
 def _cmd_figure1(args) -> int:
     from .analysis import figure1, render_figure1, to_dot
 
-    figure = figure1(args.n, args.m, method=args.method)
+    figure = figure1(args.n, args.m)
     if args.dot:
         print(to_dot(figure))
     else:
@@ -743,7 +744,6 @@ def _cmd_explore(args) -> int:
         available_specs,
         explore_many,
         get_spec,
-        make_spec_runtime,
     )
 
     names = (
@@ -757,14 +757,7 @@ def _cmd_explore(args) -> int:
         return 2
     started = _time.perf_counter()
     try:
-        results = explore_many(
-            names,
-            args.n,
-            memoize=not args.no_memo,
-            max_runs=args.max_runs,
-            core=args.core,
-            quotient=args.quotient == "on",
-        )
+        results = explore_many(names, args.n, max_runs=args.max_runs)
     except ExplorationBudgetExceeded as error:
         print(f"error: {error}; raise --max-runs", file=sys.stderr)
         return 2
@@ -779,9 +772,6 @@ def _cmd_explore(args) -> int:
         payload = {
             "tasks": names,
             "n": list(args.n),
-            "core": args.core,
-            "memoize": not args.no_memo,
-            "quotient": args.quotient == "on",
             "total_seconds": total_seconds,
             "failures": failures,
             "results": [result.to_json() for result in results],
@@ -803,22 +793,6 @@ def _cmd_explore(args) -> int:
             f"{result.stats.orbits:>9} "
             f"{result.stats.forks:>9} {result.seconds*1000:>8.1f} ms  {status}"
         )
-    if args.compare_legacy:
-        from .shm.explore import _legacy_explore_interleavings
-
-        print("\nlegacy re-execution explorer on the same workloads:")
-        for result in results:
-            make_runtime = make_spec_runtime(get_spec(result.name), result.n)
-            started = _time.perf_counter()
-            legacy_runs = sum(
-                1 for _ in _legacy_explore_interleavings(make_runtime)
-            )
-            elapsed = _time.perf_counter() - started
-            speedup = elapsed / result.seconds if result.seconds else float("inf")
-            print(
-                f"{result.name:<10} n={result.n}  runs={legacy_runs:<10} "
-                f"{elapsed*1000:10.1f} ms   engine speedup {speedup:8.1f}x"
-            )
     return 1 if failures else 0
 
 
@@ -965,16 +939,7 @@ COMMANDS: tuple[Command, ...] = (
         help="regenerate Figure 1",
         handler=_cmd_figure1,
         groups=("paper-nm",),
-        args=(
-            arg("--dot", action="store_true"),
-            arg(
-                "--method",
-                choices=["universe", "legacy"],
-                default="universe",
-                help="diagram construction path (regression tests pin them "
-                "identical)",
-            ),
-        ),
+        args=(arg("--dot", action="store_true"),),
     ),
     Command(
         name="atlas",
@@ -1313,37 +1278,11 @@ COMMANDS: tuple[Command, ...] = (
             ),
             arg("--n", type=int, nargs="+", default=(2, 3), help="system sizes"),
             arg(
-                "--core",
-                choices=["compiled", "generator"],
-                default="compiled",
-                help="runtime core: compiled step-table machines (default) "
-                "or the reference generator runtime",
-            ),
-            arg(
                 "--max-runs",
                 type=int,
                 default=None,
                 help="per-job budget on materialized runs (memoized logical "
                 "runs are free)",
-            ),
-            arg(
-                "--no-memo",
-                action="store_true",
-                help="disable state memoization (fork-sharing only)",
-            ),
-            arg(
-                "--quotient",
-                choices=["on", "off"],
-                default="on",
-                help="memoize over value-symmetry orbits instead of exact "
-                "states (compiled core only; counts stay exact — default "
-                "on)",
-            ),
-            arg(
-                "--compare-legacy",
-                action="store_true",
-                help="also time the legacy re-execution explorer and print "
-                "speedups",
             ),
         ),
     ),

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from ..core.anchoring import anchoring_profile
 from ..core.gsb import SymmetricGSBTask
-from ..core.order import hasse_diagram
 from ..core.store import get_store
 from .reporting import task_label
 
@@ -59,25 +58,16 @@ class Figure1:
         return self.graph.nodes[node]["task"]
 
 
-def figure1(n: int = 6, m: int = 3, method: str = "universe") -> Figure1:
+def figure1(n: int = 6, m: int = 3) -> Figure1:
     """Compute Figure 1's diagram for (n, m).
 
-    The default path is a thin view over the universe subsystem: the
-    family's cell (:func:`repro.universe.graph.build_cell`) already holds
-    the canonical synonym classes and their containment cover edges, so
-    the figure is a relabeling of one cell.  ``method="legacy"`` retains
-    the pairwise ``includes()`` construction; the regression tests pin
-    both paths to byte-identical DOT output.
+    A thin view over the universe subsystem: the family's cell
+    (:func:`repro.universe.graph.build_cell`) already holds the canonical
+    synonym classes and their containment cover edges, so the figure is a
+    relabeling of one cell.  The regression tests pin it to the pairwise
+    ``includes()`` construction (``hasse_diagram(..., method="legacy")``).
     """
-    if method == "universe":
-        return Figure1(n=n, m=m, graph=_universe_figure_graph(n, m))
-    if method != "legacy":
-        raise ValueError(f"unknown method {method!r}; use 'universe' or 'legacy'")
-    canonical_tasks = [
-        entry.task for entry in get_store().canonical_entries(n, m)
-    ]
-    graph = hasse_diagram(canonical_tasks, method="legacy")
-    return Figure1(n=n, m=m, graph=graph)
+    return Figure1(n=n, m=m, graph=_universe_figure_graph(n, m))
 
 
 def _universe_figure_graph(n: int, m: int) -> nx.DiGraph:

@@ -626,9 +626,10 @@ def replay_decision_map(
 
     Runs execute on the compiled protocol core
     (:mod:`repro.shm.compiled`): the decision-map protocol is traced into
-    a step table once, so replaying every interleaving at n = 4 — the
-    default ``engine_replay_n`` — costs array copies, not generator
-    replays.
+    a step table once, and the engine counts decided vectors over its
+    orbit quotient, so replaying every interleaving at n = 4 — the
+    default ``engine_replay_n`` — costs array copies and orbit-memo hits,
+    not generator replays.
     """
     from ..shm.compiled import CompiledProtocol
     from ..shm.engine import PrefixSharingEngine
@@ -641,8 +642,7 @@ def replay_decision_map(
         arrays={f"IS{index}": None for index in range(rounds)},
     )
 
-    engine = PrefixSharingEngine(program.machine)
-    decisions = engine.decided_vectors(memoize=True)
+    decisions = PrefixSharingEngine(program.machine).decided_vectors()
     problems = []
     for outputs, count in sorted(decisions.items(), key=repr):
         if not task.is_legal_output(list(outputs)):

@@ -3,9 +3,10 @@
 The generator runtime (:mod:`repro.shm.runtime`) is the *reference
 semantics* of the model: algorithms are Python generators, a fork rebuilds
 generator state by replaying each process's result log (O(steps so far)
-resumptions), and a state key recursively freezes the logs.  Both costs sit
-on the hottest path in the repository — exhaustive exploration forks and
-keys at every branch point.
+resumptions), and a state key recursively freezes the logs.  Both costs
+would sit on the hottest path in the repository — exhaustive exploration
+forks and keys at every branch point — so exploration runs here instead,
+and the generator runtime is what the tests compare this core against.
 
 This module commits to a canonical machine representation *once* and makes
 every downstream operation a cheap structural one (the lex-leader move of
@@ -29,8 +30,8 @@ symmetry handling, applied to the runtime itself):
   vector plus an arrival list and an acquired-bitmask per oracle).  The
   cell and acquired-mask tuples are copy-on-write: a write or an acquire
   replaces its tuple, so ``fork()`` shares them and copies only a few
-  small lists — **no generator replay** — and ``state_key()`` is a small
-  packed tuple instead of a recursive freeze walk.
+  small lists — **no generator replay** — and ``orbit_key()`` is one flat
+  tuple instead of a recursive freeze walk.
 
 Semantics notes (all verified by the differential suite in
 ``tests/shm/test_compiled_differential.py``):
@@ -43,9 +44,8 @@ Semantics notes (all verified by the differential suite in
 * Per-writer version counters are *not* part of the machine state: no
   operation exposes them to algorithms, so dropping them is sound and
   strictly increases memoization hits.
-* Decided/crashed processes are keyed by outcome (the decided value /
-  a crash sentinel), exactly like the generator runtime, so states that
-  differ only in the history of a finished process still merge.
+* Decided/crashed processes are keyed by a sentinel program counter, so
+  states that differ only in the history of a finished process merge.
 """
 
 from __future__ import annotations
@@ -597,14 +597,14 @@ class MachineState:
     """Array-backed runtime state over a :class:`CompiledProtocol`.
 
     Drop-in for :class:`repro.shm.runtime.Runtime` wherever exploration
-    and the harness drive runs (``step``/``run``/``fork``/``state_key``/
-    ``result``/``enabled_pids``), with the two costs the compiled core
-    exists to remove:
+    and the harness drive runs (``step``/``run``/``fork``/``result``/
+    ``enabled_pids``), with the two costs the compiled core exists to
+    remove:
 
     * ``fork()`` copies a few flat lists and shares the copy-on-write
       cell and acquired-mask tuples — O(state), zero generator work;
-    * ``state_key()`` returns a packed tuple of program counters, decided
-      outputs, flat cells and oracle arrival orders.
+    * ``orbit_key()`` returns one flat tuple of program counters, the
+      cell tuple and the acquired-mask tuple.
 
     ``record_trace`` defaults to *False* (the opposite of ``Runtime``):
     the exploration hot path neither needs nor wants per-fork trace
@@ -833,40 +833,14 @@ class MachineState:
         dup._pc = self._pc.copy()
         return dup
 
-    def state_key(self) -> tuple | None:
-        """Packed hashable signature of the global state.
-
-        Program counters stand in for whole result histories (a trie node
-        *is* a local state), decided processes are keyed by their frozen
-        output (so equal decisions merge across histories), and the flat
-        cell list is already frozen.  Returns None when a generic shared
-        object exposes no ``state_key`` (disabling memoization, as in the
-        generator runtime).
-        """
-        generic_keys: tuple = ()
-        if self._generic:
-            keys = []
-            for name in sorted(self._generic):
-                obj = self._generic[name]
-                if not hasattr(obj, "state_key"):
-                    return None
-                keys.append((name, obj.state_key()))
-            generic_keys = tuple(keys)
-        return (
-            tuple(self._pc),
-            tuple(self.outputs),
-            self._cells,
-            tuple(tuple(arrivals) for arrivals in self._oracle_arrivals),
-            generic_keys,
-        )
-
     # -- value-symmetry orbit quotient -----------------------------------
 
     def orbit_key(self) -> tuple | None:
-        """Orbit signature of this state (coarser than :meth:`state_key`).
+        """Orbit signature of this state, the engine's memo key.
 
-        Two refinements over the exact key, both sound for any program
-        driven here (verified by the quotient differential suite):
+        It is coarser than an exact key of the global state in two ways,
+        both sound for any program driven here (verified by the quotient
+        differential suite):
 
         * **decided outputs are factored out** — no operation reads
           another process's output, so states differing only in decided
@@ -883,8 +857,8 @@ class MachineState:
         tuples (shared, not copied, so keys of states that no write
         separates share one cells object).  With generic shared objects
         their state keys follow as one more component.  Returns None when
-        such an object exposes no ``state_key`` (same contract as
-        :meth:`state_key`).
+        such an object exposes no ``state_key``: the engine then leaves
+        this state out of its memo.
         """
         if self._generic:
             keys = []

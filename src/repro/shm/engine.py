@@ -5,19 +5,16 @@ from scratch: exploring the schedule tree of an n-process protocol costs
 O(nodes x depth) full step re-executions, which caps exhaustive checking at
 n <= 3.  This engine turns exploration into a real search procedure:
 
-* **Prefix sharing** — the schedule tree is walked with
-  :meth:`repro.shm.runtime.Runtime.fork`: at a branching configuration the
-  live runtime is snapshotted once per extra branch instead of replaying
-  the whole prefix per node.  A fork clones shared memory and oracle state
-  directly and rebuilds generator state by replaying each process's logged
-  operation *results* locally — no shared-memory operation is re-executed.
+* **Prefix sharing** — the schedule tree is walked with ``fork``: at a
+  branching configuration the live state is snapshotted once per extra
+  branch instead of replaying the whole prefix per node.
 
-* **State memoization** — interleavings of independent operations commute
-  into the same global state.  :meth:`Runtime.state_key` gives a hashable
-  signature of the global state; the set of decided output vectors (with
-  multiplicity) reachable from a state is a function of the state alone, so
-  subtrees are computed once and reused (a partial-order-reduction-flavoured
-  collapse, sound for the model's deterministic algorithms).
+* **Orbit memoization** — interleavings of independent operations commute
+  into the same global state, and states that differ only in decided
+  outputs, oracle arrival order or (for specs that declare it) a
+  relabeling of interchangeable values share their future.  The
+  decided-vector multiset reachable from a state is memoized per orbit,
+  so each orbit's subtree is computed once and reused.
 
 * **Symmetry canonicalization** — the model's algorithms are
   comparison-based and index-independent (Section 2.2; the harness checks
@@ -31,21 +28,17 @@ n <= 3.  This engine turns exploration into a real search procedure:
 * **Batching** — :func:`explore_many` runs a battery of named exploration
   tasks across a range of system sizes, one exploration after another.
 
-The engine is runtime-polymorphic: it drives anything exposing the small
-``fork``/``step``/``state_key``/``enabled_pids``/``outputs``/``result``
-surface.  Two cores implement it:
-
-* the **compiled core** (:mod:`repro.shm.compiled`, the default) — step
-  tables plus array-backed :class:`~repro.shm.compiled.MachineState`,
-  whose forks are plain array copies and whose state keys are packed
-  tuples (:func:`make_spec_machine`);
-* the **generator core** (:class:`repro.shm.runtime.Runtime`, the
-  reference semantics) — forks replay per-process result logs
-  (:func:`make_spec_runtime`), kept as the oracle the compiled core is
-  differentially tested against (``core="generator"``).
-
-The legacy prefix re-execution explorer remains in
-:mod:`repro.shm.explore` (``engine=False``).
+Production exploration runs on the **compiled core**
+(:mod:`repro.shm.compiled`, :func:`make_spec_machine`): step tables plus
+array-backed :class:`~repro.shm.compiled.MachineState`, whose forks share
+copy-on-write tuples and whose orbit keys are flat tuples.
+:meth:`PrefixSharingEngine.decided_vectors` runs the orbit quotient on it.
+The generator :class:`~repro.shm.runtime.Runtime`
+(:func:`make_spec_runtime`) is the reference semantics the tests compare
+against: on it the same method runs an exact DFS memoized by
+:meth:`Runtime.state_key <repro.shm.runtime.Runtime.state_key>`, and the
+re-execution explorer in :mod:`repro.shm.explore` is the older reference
+still.
 """
 
 from __future__ import annotations
@@ -57,16 +50,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from .runtime import Algorithm, Runtime, RunResult, freeze_value
-
-#: Runtime cores an exploration can run on.
-CORES = ("compiled", "generator")
-
-
-def _check_core(core: str) -> str:
-    if core not in CORES:
-        raise ValueError(f"unknown runtime core {core!r}; expected one of {CORES}")
-    return core
-
 
 class ExplorationBudgetExceeded(RuntimeError):
     """Exploration hit ``max_runs``; results so far are incomplete."""
@@ -141,20 +124,21 @@ class PrefixSharingEngine:
     """Explore every interleaving of one system via fork-at-decision-point.
 
     Args:
-        make_runtime: factory producing a fresh :class:`Runtime`; called
-            once per exploration (the engine forks from it, it is *not*
-            re-invoked per prefix).  The runtime's scheduler is ignored.
+        make_runtime: factory producing a fresh compiled
+            :class:`~repro.shm.compiled.MachineState` or reference
+            :class:`Runtime`; called once per exploration (the engine
+            forks from it, it is *not* re-invoked per prefix).  The
+            runtime's scheduler is ignored.
         participants: pids allowed to take steps (others crash before
             their first step); defaults to all processes.
         max_runs: raise :class:`ExplorationBudgetExceeded` beyond this many
-            *materialized* runs — every completed run in exact mode; in
-            memoized mode only leaves actually visited (logical runs
-            served from the memo are free, which is the point of the
-            budget: it bounds work, and memoized mode does less of it).
+            *materialized* runs — every completed run for :meth:`runs`;
+            for :meth:`decided_vectors` only leaves actually visited
+            (logical runs served from the memo are free, which is the
+            point of the budget: it bounds work, and the memo does less
+            of it).
         max_depth: per-run step bound (guards against non-termination).
         stats: optional shared :class:`EngineStats` to accumulate into.
-        quotient: memoize over value-symmetry *orbits* instead of exact
-            states (compiled core only; see :meth:`decided_vectors`).
         relabeler: the spec's declared value-relabeling group
             (:attr:`ExplorationSpec.value_relabel`); None means only the
             relabeling-free orbit refinements apply.
@@ -167,7 +151,6 @@ class PrefixSharingEngine:
         max_runs: int | None = None,
         max_depth: int = 10_000,
         stats: EngineStats | None = None,
-        quotient: bool = False,
         relabeler: Any = None,
     ):
         self._make = make_runtime
@@ -177,11 +160,10 @@ class PrefixSharingEngine:
         self.max_runs = max_runs
         self.max_depth = max_depth
         self.stats = stats if stats is not None else EngineStats()
-        self.quotient = quotient
         self.relabeler = relabeler
 
     # ------------------------------------------------------------------
-    # Exact mode: the drop-in replacement for the legacy explorer
+    # Every run: the drop-in replacement for the legacy explorer
     # ------------------------------------------------------------------
 
     def runs(self) -> Iterator[RunResult]:
@@ -233,10 +215,10 @@ class PrefixSharingEngine:
             self.stats.peak_stack = max(self.stats.peak_stack, len(stack))
 
     # ------------------------------------------------------------------
-    # Pruned mode: memoized decided-vector counting
+    # Memoized decided-vector counting
     # ------------------------------------------------------------------
 
-    def decided_vectors(self, memoize: bool = True) -> Counter:
+    def decided_vectors(self) -> Counter:
         """Multiset of decided output vectors over all interleavings.
 
         Returns a :class:`collections.Counter` mapping the (frozen) tuple
@@ -248,29 +230,24 @@ class PrefixSharingEngine:
         preserved because the memoized counter is *added* once per arrival
         path.
 
-        ``memoize=False`` degrades to plain fork-sharing (used by tests to
-        show count preservation).
-
-        With ``quotient=True`` (and a compiled-core runtime) the memo is a
-        table over value-symmetry **orbits** (:meth:`MachineState.orbit_key
-        <repro.shm.compiled.MachineState.orbit_key>`): entries store suffix
-        counters over the frame's undecided positions, and each child is
-        probed before it is forked, so a memo hit costs neither a fork nor
-        a step.  Counts stay exact and byte-identical to the exact path's;
-        the differential suite pins that.
+        The runtime picks the DFS.  A compiled machine (one that exposes
+        ``probe_step``) runs the orbit quotient: the memo is a table over
+        value-symmetry **orbits** (:meth:`MachineState.orbit_key
+        <repro.shm.compiled.MachineState.orbit_key>`), entries store
+        suffix counters over the frame's undecided positions, and each
+        child is probed before it is forked, so a memo hit costs neither
+        a fork nor a step.  A generator :class:`Runtime`, the reference
+        the differential suites compare against, runs an exact DFS
+        memoized by :meth:`Runtime.state_key`.
         """
-        if self.quotient and memoize:
-            root = self._make()
-            if hasattr(root, "orbit_key"):
-                return self._decided_vectors_quotient(root)
-            # Generator-core runtimes expose no orbit surface; the exact
-            # path below is the reference they are compared against.
-        return self._decided_vectors_exact(memoize)
+        root = self._make()
+        if hasattr(root, "probe_step"):
+            return self._decided_vectors_quotient(root)
+        return self._decided_vectors_exact(root)
 
-    def _decided_vectors_exact(self, memoize: bool) -> Counter:
+    def _decided_vectors_exact(self, root: Runtime) -> Counter:
         produced = 0
         memo: dict[Any, Counter] = {}
-        root = self._make()
         allowed = self._allowed(root)
         self._check_depth(root)
 
@@ -297,7 +274,7 @@ class PrefixSharingEngine:
 
         def open_frame(runtime: Runtime, branches: list[int]) -> Counter | None:
             """Push a frame for an internal node, or return a memo hit."""
-            key = runtime.state_key() if memoize else None
+            key = runtime.state_key()
             if key is not None and key in memo:
                 self.stats.memo_hits += 1
                 return memo[key]
@@ -313,9 +290,7 @@ class PrefixSharingEngine:
             else:
                 total = outcome
 
-        hit = open_frame(root, enabled)
-        if hit is not None:
-            return Counter(hit)
+        open_frame(root, enabled)
         while stack:
             frame = stack[-1]
             runtime, branches, index, acc, key = frame
@@ -662,10 +637,8 @@ def explore_decided_subsets(
     make_runtime: Callable[[], Runtime],
     min_participants: int = 1,
     assume_symmetric: bool = True,
-    memoize: bool = True,
     max_runs: int | None = None,
     max_depth: int = 10_000,
-    quotient: bool = False,
     value_relabel: Any = None,
 ) -> SubsetDecisionProfile:
     """Decided-vector profile over every participant subset.
@@ -674,10 +647,9 @@ def explore_decided_subsets(
     representative subset per size is explored and its results are weighted
     by the class size; otherwise all ``2^n - 1`` subsets run.
 
-    ``quotient`` turns on orbit memoization inside each subset's engine
-    (compiled-core factories only).  Each subset keeps its *own* orbit
-    memo: orbit keys do not encode the participant set, so sharing one
-    table across subsets would conflate their suffix positions.
+    Each subset keeps its *own* memo: orbit keys do not encode the
+    participant set, so sharing one table across subsets would conflate
+    their suffix positions.
     """
     probe = make_runtime()
     n = probe.n
@@ -702,10 +674,9 @@ def explore_decided_subsets(
             max_runs=max_runs,
             max_depth=max_depth,
             stats=profile.stats,
-            quotient=quotient,
-            relabeler=value_relabel if quotient else None,
+            relabeler=value_relabel,
         )
-        profile.by_subset[subset] = engine.decided_vectors(memoize=memoize)
+        profile.by_subset[subset] = engine.decided_vectors()
         profile.weights[subset] = weight
     return profile
 
@@ -1002,8 +973,6 @@ class BatchResult:
     violations: int  #: runs whose decided vector is illegal for the task
     seconds: float
     stats: EngineStats
-    core: str = "compiled"  #: runtime core the exploration ran on
-    quotient: bool = False  #: value-symmetry orbit quotient was active
 
     def __str__(self) -> str:
         status = "OK" if self.violations == 0 else f"{self.violations} ILLEGAL"
@@ -1018,18 +987,17 @@ class BatchResult:
         return {
             "name": self.name,
             "n": self.n,
-            "core": self.core,
             "runs": self.runs,
             "distinct": self.distinct,
             "violations": self.violations,
             "seconds": self.seconds,
-            "quotient": self.quotient,
             "stats": self.stats.to_json(),
         }
 
 
 def make_spec_runtime(spec: ExplorationSpec, n: int) -> Callable[[], Runtime]:
-    """Generator-core runtime factory for one spec (identities ``1..n``)."""
+    """Reference generator-runtime factory for one spec (identities
+    ``1..n``): what the differential tests compare the compiled core with."""
     from .schedulers import RoundRobinScheduler
 
     algorithm = spec.algorithm_factory(n)
@@ -1060,7 +1028,7 @@ def make_spec_machine(
     compiled once per factory and shared by every machine (and fork) it
     produces — the point of the compiled core: the per-exploration cost of
     understanding the algorithm is paid once, after which forks are array
-    copies and state keys are packed tuples.  The shared program is
+    copies and orbit keys are flat tuples.  The shared program is
     exposed as ``factory.program``, and ``factory.canonicalizers``
     caches one :class:`repro.shm.compiled.ValueCanonicalizer` per
     relabeler for the engine.  ``frame_nodes`` turns on local-state node
@@ -1091,56 +1059,33 @@ def make_spec_machine(
     return make_machine
 
 
-def spec_factory(
-    spec: ExplorationSpec,
-    n: int,
-    core: str = "compiled",
-    quotient: bool = False,
-) -> Callable[[], Any]:
-    """The runtime factory for one spec on the chosen core."""
-    _check_core(core)
-    if core == "compiled":
-        return make_spec_machine(spec, n, frame_nodes=quotient)
-    return make_spec_runtime(spec, n)
-
-
 def explore_one(
     spec: ExplorationSpec | str,
     n: int,
-    memoize: bool = True,
     max_runs: int | None = None,
     max_depth: int = 10_000,
-    core: str = "compiled",
-    quotient: bool = True,
 ) -> BatchResult:
     """Explore one spec at one size and validate its decided vectors.
 
-    Args:
-        core: ``"compiled"`` (array-backed step-table machines, the
-            default) or ``"generator"`` (the reference runtime).
-        quotient: memoize over value-symmetry orbits (default on; only
-            effective on the compiled core with ``memoize`` — the
-            generator core stays the exact reference).
+    Runs the orbit quotient on the compiled core: a frame-merged step
+    table (:func:`make_spec_machine`) and the spec's value relabeler.
     """
-    _check_core(core)
     if isinstance(spec, str):
         spec = get_spec(spec)
     if n < spec.min_n:
         raise ValueError(f"{spec.name} needs n >= {spec.min_n}, got {n}")
     task = spec.task_factory(n)
 
-    effective_quotient = bool(quotient and memoize and core == "compiled")
     stats = EngineStats()
     started = time.perf_counter()
     engine = PrefixSharingEngine(
-        spec_factory(spec, n, core, quotient=effective_quotient),
+        make_spec_machine(spec, n, frame_nodes=True),
         max_runs=max_runs,
         max_depth=max_depth,
         stats=stats,
-        quotient=effective_quotient,
-        relabeler=spec.value_relabel if effective_quotient else None,
+        relabeler=spec.value_relabel,
     )
-    decisions = engine.decided_vectors(memoize=memoize)
+    decisions = engine.decided_vectors()
     seconds = time.perf_counter() - started
     identities = list(range(1, n + 1))
     violations = sum(
@@ -1156,19 +1101,14 @@ def explore_one(
         violations=violations,
         seconds=seconds,
         stats=stats,
-        core=core,
-        quotient=effective_quotient,
     )
 
 
 def explore_many(
     tasks: Sequence[ExplorationSpec | str],
     n_range: Sequence[int],
-    memoize: bool = True,
     max_runs: int | None = None,
     max_depth: int = 10_000,
-    core: str = "compiled",
-    quotient: bool = True,
 ) -> list[BatchResult]:
     """Explore a battery of tasks across system sizes, one at a time.
 
@@ -1178,23 +1118,11 @@ def explore_many(
             unknown name fails before any work starts.
         n_range: system sizes; each (task, n) pair is one job.  Sizes below
             a spec's ``min_n`` are skipped.
-        core: runtime core every exploration runs on (``"compiled"`` /
-            ``"generator"``).
-        memoize / max_runs / max_depth / quotient: passed through to
-            :func:`explore_one`.
+        max_runs / max_depth: passed through to :func:`explore_one`.
     """
-    _check_core(core)
     specs = [get_spec(spec) if isinstance(spec, str) else spec for spec in tasks]
     return [
-        explore_one(
-            spec,
-            n,
-            memoize=memoize,
-            max_runs=max_runs,
-            max_depth=max_depth,
-            core=core,
-            quotient=quotient,
-        )
+        explore_one(spec, n, max_runs=max_runs, max_depth=max_depth)
         for spec in specs
         for n in n_range
         if n >= spec.min_n

@@ -8,22 +8,21 @@ the undecided processes crashed — the harness therefore validates decided
 values at every decision point, which covers all crash patterns, while this
 module enumerates only completed runs of each participating set.
 
-These generators are now thin wrappers over the prefix-sharing engine
+These generators are thin wrappers over the prefix-sharing engine
 (:mod:`repro.shm.engine`), which forks the live runtime at each branch
-point instead of re-executing every prefix from scratch.  Pass
-``engine=False`` to run the original re-execution explorer — kept for
-equivalence tests and before/after benchmarks.
+point instead of re-executing every prefix from scratch.  The original
+re-execution explorer, :func:`_legacy_explore_interleavings`, stays as
+the reference the engine's tests compare against.
 
-The factories these wrappers receive decide which runtime core executes
-the runs: a factory returning :class:`repro.shm.runtime.Runtime` explores
-on the generator reference semantics, one returning
-:class:`repro.shm.compiled.MachineState` (e.g.
-:func:`repro.shm.engine.make_spec_machine`) explores on the compiled
-step-table core — the engine drives both through the same surface.
+The factory a wrapper receives decides what executes the runs: one
+returning :class:`repro.shm.compiled.MachineState` (e.g.
+:func:`repro.shm.engine.make_spec_machine`) runs the compiled step-table
+core, one returning :class:`repro.shm.runtime.Runtime` the generator
+reference semantics; the engine drives both through the same surface.
 
 Cost without the engine's pruning: the number of interleavings of processes
 taking ``k1, ..., kp`` steps is the multinomial coefficient; the engine's
-memoized mode (:meth:`PrefixSharingEngine.decided_vectors`) collapses
+memoized count (:meth:`PrefixSharingEngine.decided_vectors`) collapses
 commuting interleavings and pushes full exploration to n = 4-5.
 """
 
@@ -32,48 +31,15 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Sequence
 
-from .engine import EngineStats, ExplorationBudgetExceeded, PrefixSharingEngine
+from .engine import ExplorationBudgetExceeded, PrefixSharingEngine
 from .runtime import Runtime, RunResult
 
 __all__ = [
     "ExplorationBudgetExceeded",
-    "count_decided_vectors",
     "count_interleavings",
     "explore_all_participant_subsets",
     "explore_interleavings",
 ]
-
-
-def count_decided_vectors(
-    make_runtime: Callable[[], Runtime],
-    participants: Sequence[int] | None = None,
-    max_runs: int | None = None,
-    max_depth: int = 10_000,
-    quotient: bool = False,
-    value_relabel=None,
-    stats: EngineStats | None = None,
-):
-    """Decided-vector multiset of every interleaving, with optional
-    value-symmetry quotienting.
-
-    Convenience wrapper over
-    :meth:`PrefixSharingEngine.decided_vectors`: ``quotient=True`` (with
-    a compiled-core factory, see
-    :func:`repro.shm.engine.spec_factory` ``quotient=True``) memoizes
-    over orbits instead of exact states — same Counter, fewer visits;
-    ``value_relabel`` additionally collapses relabelings of
-    interchangeable oracle values (see
-    :attr:`repro.shm.engine.ExplorationSpec.value_relabel`).
-    """
-    return PrefixSharingEngine(
-        make_runtime,
-        participants=participants,
-        max_runs=max_runs,
-        max_depth=max_depth,
-        stats=stats,
-        quotient=quotient,
-        relabeler=value_relabel if quotient else None,
-    ).decided_vectors()
 
 
 def explore_interleavings(
@@ -81,7 +47,6 @@ def explore_interleavings(
     participants: Sequence[int] | None = None,
     max_runs: int | None = None,
     max_depth: int = 10_000,
-    engine: bool = True,
 ) -> Iterator[RunResult]:
     """Yield the result of every interleaving of the participating set.
 
@@ -94,20 +59,13 @@ def explore_interleavings(
         max_runs: raise :class:`ExplorationBudgetExceeded` beyond this many
             completed runs.
         max_depth: per-run step bound (guards against non-termination).
-        engine: route through the prefix-sharing engine (default); False
-            selects the legacy prefix re-execution path.
     """
-    if engine:
-        yield from PrefixSharingEngine(
-            make_runtime,
-            participants=participants,
-            max_runs=max_runs,
-            max_depth=max_depth,
-        ).runs()
-        return
-    yield from _legacy_explore_interleavings(
-        make_runtime, participants, max_runs, max_depth
-    )
+    yield from PrefixSharingEngine(
+        make_runtime,
+        participants=participants,
+        max_runs=max_runs,
+        max_depth=max_depth,
+    ).runs()
 
 
 def _legacy_explore_interleavings(
@@ -159,7 +117,6 @@ def explore_all_participant_subsets(
     make_runtime: Callable[[], Runtime],
     min_participants: int = 1,
     max_runs: int | None = None,
-    engine: bool = True,
 ) -> Iterator[tuple[tuple[int, ...], RunResult]]:
     """Explore every interleaving of every participating subset.
 
@@ -173,7 +130,7 @@ def explore_all_participant_subsets(
     for size in range(min_participants, n + 1):
         for participants in itertools.combinations(range(n), size):
             for result in explore_interleavings(
-                make_runtime, participants=participants, engine=engine
+                make_runtime, participants=participants
             ):
                 produced += 1
                 if max_runs is not None and produced > max_runs:

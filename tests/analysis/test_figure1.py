@@ -11,6 +11,15 @@ from repro.analysis import (
     render_figure1,
     to_dot,
 )
+from repro.analysis.figure1 import Figure1
+from repro.core.order import hasse_diagram
+from repro.core.store import get_store
+
+
+def legacy_figure1(n, m):
+    """Figure 1 from the pairwise ``includes()`` Hasse construction."""
+    tasks = [entry.task for entry in get_store().canonical_entries(n, m)]
+    return Figure1(n=n, m=m, graph=hasse_diagram(tasks, method="legacy"))
 
 
 class TestRegeneration:
@@ -52,23 +61,22 @@ class TestStructure:
 
 
 class TestUniverseViewRegression:
-    """The universe-backed path must match the legacy path byte for byte."""
+    """The universe-backed figure must match the legacy pairwise Hasse
+    construction byte for byte."""
 
     @pytest.mark.parametrize("n,m", [(6, 3), (8, 4), (12, 4), (7, 2), (5, 5)])
     def test_dot_byte_identical(self, n, m):
-        universe_dot = to_dot(figure1(n, m, method="universe"))
-        legacy_dot = to_dot(figure1(n, m, method="legacy"))
-        assert universe_dot == legacy_dot
+        assert to_dot(figure1(n, m)) == to_dot(legacy_figure1(n, m))
 
     @pytest.mark.parametrize("n,m", [(6, 3), (9, 3)])
     def test_render_identical(self, n, m):
-        assert render_figure1(figure1(n, m, method="universe")) == render_figure1(
-            figure1(n, m, method="legacy")
+        assert render_figure1(figure1(n, m)) == render_figure1(
+            legacy_figure1(n, m)
         )
 
-    def test_default_method_is_universe(self, monkeypatch):
-        # Outputs are pinned identical across methods, so assert on the
-        # dispatch itself: the default must hit the universe cell path.
+    def test_figure_is_one_universe_cell(self, monkeypatch):
+        # Outputs are pinned identical to the legacy construction, so
+        # assert on the path itself: the figure reads the universe cell.
         import repro.universe.graph as universe_graph
 
         calls = []
@@ -81,10 +89,6 @@ class TestUniverseViewRegression:
         monkeypatch.setattr(universe_graph, "single_cell_graph", spy)
         figure1(6, 3)
         assert calls == [(6, 3)]
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            figure1(method="nope")
 
 
 class TestRendering:

@@ -86,6 +86,13 @@ class TestDeadlines:
                 assert headers.get("Connection") == "close"
                 _, _, stats = server.get("/stats")
                 assert stats["transport"]["timeouts"] >= 1
+                # The held request's handler thread routes it once the
+                # hold ends: wait for that, so no later test sees it touch
+                # the process-wide caches.
+                deadline = time.monotonic() + 10
+                while "decide" not in server.service.metrics.snapshot():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
 
     def test_healthz_answers_while_every_handler_thread_is_wedged(self, root):
         config = ServeConfig(request_timeout=30.0, handler_threads=2)

@@ -269,19 +269,20 @@ class TestOraclePacking:
             machine.step(pid)
             fork.step(pid)
         assert machine.outputs == fork.outputs
-        assert machine.state_key() == fork.state_key()
+        assert machine.orbit_key() == fork.orbit_key()
+        assert machine._oracle_arrivals == fork._oracle_arrivals
 
 
-class TestForkAndStateKey:
+class TestForkAndOrbitKey:
     def test_fork_is_independent(self):
         program = make_program(3)
         machine = program.machine()
         machine.step(0)
         fork = machine.fork()
-        assert fork.state_key() == machine.state_key()
+        assert fork.orbit_key() == machine.orbit_key()
         fork.step(1)
         machine.step(0)
-        assert fork.state_key() != machine.state_key()
+        assert fork.orbit_key() != machine.orbit_key()
         assert machine.outputs[0] == (1, None, None)
         assert fork.outputs[0] is None
 
@@ -303,11 +304,11 @@ class TestForkAndStateKey:
         nodes = program.node_count()
         forks = [machine.fork() for _ in range(50)]
         assert program.node_count() == nodes
-        assert all(f.state_key() == machine.state_key() for f in forks)
+        assert all(f.orbit_key() == machine.orbit_key() for f in forks)
 
-    def test_state_key_merges_decided_histories(self):
+    def test_orbit_key_merges_decided_histories(self):
         # Two processes deciding the same value through different result
-        # histories land in the same key (like the generator runtime).
+        # histories land on the same program counter.
         def decide_one(ctx):
             view = yield Snapshot("A")
             yield Write("A", ctx.identity)
@@ -323,21 +324,21 @@ class TestForkAndStateKey:
         late.step(0)  # pid 0 decided having seen (None, 2)
         assert early.outputs[0] == late.outputs[0] == 1
         # Memory differs (pid 1 wrote in `late`), so full keys differ, but
-        # the per-pid component for pid 0 is the decided sentinel + value.
-        assert early.state_key()[0][0] == late.state_key()[0][0]
-        assert early.state_key()[1][0] == late.state_key()[1][0]
+        # pid 0's component is the decided sentinel in both.
+        assert early.orbit_key()[0] == late.orbit_key()[0] < 0
+        assert early.orbit_key() != late.orbit_key()
 
-    def test_state_key_is_packed_and_hashable(self):
+    def test_orbit_key_is_flat_and_hashable(self):
         program = make_program(2)
         machine = program.machine()
         machine.step(0)
-        key = machine.state_key()
+        key = machine.orbit_key()
         assert isinstance(key, tuple)
         hash(key)
-        pcs, outputs, cells, oracle_arrivals, generic = key
-        assert len(pcs) == 2 and len(outputs) == 2
+        *pcs, cells, acquired = key
+        assert len(pcs) == 2
         assert len(cells) == 2  # one flat cell per process for array A
-        assert oracle_arrivals == ()
+        assert acquired == ()  # no oracles
 
 
 class TestDeterminismRejection:

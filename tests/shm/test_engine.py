@@ -2,14 +2,15 @@
 
 The load-bearing property is *equivalence*: for every named workload the
 engine must produce exactly the multiset of decided output vectors the
-legacy re-execution explorer produces, in exact mode even in the same
+legacy re-execution explorer produces, run by run even in the same
 order.  On top of that: budget semantics, memoization actually pruning,
 symmetry canonicalization of participant subsets, runtime forking, the
-schedule tree's shape, stats accumulation, step-table reuse, and the batch
-API.
+schedule tree's shape, stats accumulation, step-table reuse, the batch
+API, and the production path against the generator reference.
 """
 
 import dataclasses
+import itertools
 import warnings
 from collections import Counter
 
@@ -36,8 +37,9 @@ from repro.shm import (
     make_spec_machine,
     order_isomorphism_class,
 )
-from repro.shm.engine import make_spec_runtime, spec_factory
+from repro.shm.engine import make_spec_runtime
 from repro.shm.explore import _legacy_explore_interleavings
+from repro.shm.runtime import freeze_value
 
 NAMED_SPECS = ("wsb", "election", "renaming", "wsb-grh")
 
@@ -124,8 +126,7 @@ class TestEquivalenceWithLegacy:
             for result in _legacy_explore_interleavings(factory)
         ]
         engine = [
-            tuple(result.outputs)
-            for result in explore_interleavings(factory, engine=True)
+            tuple(result.outputs) for result in explore_interleavings(factory)
         ]
         assert engine == legacy  # same runs, same lexicographic order
 
@@ -137,7 +138,7 @@ class TestEquivalenceWithLegacy:
             for result in _legacy_explore_interleavings(factory)
         )
         engine = PrefixSharingEngine(factory)
-        assert engine.decided_vectors(memoize=True) == legacy
+        assert engine.decided_vectors() == legacy
 
     def test_memoization_preserves_counts(self):
         # Two processes, two commuting no-ops each: states merge heavily,
@@ -177,22 +178,10 @@ class TestTreeShape:
 
     @pytest.mark.parametrize("name,n", EQUIVALENCE_CASES)
     def test_runs_fork_once_per_extra_branch(self, name, n):
-        engine = PrefixSharingEngine(spec_factory(get_spec(name), n))
+        engine = PrefixSharingEngine(make_spec_machine(get_spec(name), n))
         runs = sum(1 for _ in engine.runs())
         assert engine.stats.runs == runs
         assert engine.stats.forks == runs - 1
-
-    @pytest.mark.parametrize("name,n", EQUIVALENCE_CASES)
-    def test_unmemoized_counting_walks_the_same_tree(self, name, n):
-        walker = PrefixSharingEngine(spec_factory(get_spec(name), n))
-        runs = sum(1 for _ in walker.runs())
-        counter = PrefixSharingEngine(spec_factory(get_spec(name), n))
-        decisions = counter.decided_vectors(memoize=False)
-        assert sum(decisions.values()) == counter.stats.runs == runs
-        assert (counter.stats.nodes, counter.stats.forks) == (
-            walker.stats.nodes,
-            walker.stats.forks,
-        )
 
     def test_depth_two_prefixes_in_pid_order(self):
         # Every renaming process is enabled for its first two steps, so
@@ -218,7 +207,7 @@ class TestTreeShape:
     @pytest.mark.parametrize("name", NAMED_SPECS)
     def test_solo_participant_is_one_path(self, name):
         engine = PrefixSharingEngine(
-            spec_factory(get_spec(name), 3), participants=(0,)
+            make_spec_machine(get_spec(name), 3), participants=(0,)
         )
         (run,) = engine.runs()
         assert engine.stats.forks == 0
@@ -255,11 +244,11 @@ class TestBudgets:
     def test_decided_vectors_budgets(self):
         engine = PrefixSharingEngine(make_runtime_factory(3), max_runs=5)
         with pytest.raises(ExplorationBudgetExceeded):
-            engine.decided_vectors(memoize=False)
+            engine.decided_vectors()
 
     def test_engine_fits_budget_legacy_cannot(self):
         # The acceptance claim in miniature: with the same run budget the
-        # engine's memoized mode completes a workload whose interleaving
+        # engine's memoized count completes a workload whose interleaving
         # count blows past the budget when every run must be materialized.
         def three_nops(ctx):
             for _ in range(3):
@@ -274,7 +263,7 @@ class TestBudgets:
                 _legacy_explore_interleavings(factory, max_runs=budget)
             )
         engine = PrefixSharingEngine(factory, max_runs=budget)
-        decisions = engine.decided_vectors(memoize=True)
+        decisions = engine.decided_vectors()
         assert sum(decisions.values()) == total  # completed under budget
 
     def test_quotient_budget_counts_materialized_leaves(self):
@@ -285,40 +274,48 @@ class TestBudgets:
         with pytest.raises(ExplorationBudgetExceeded):
             explore_one("renaming", 4, max_runs=23)
 
-    @pytest.mark.parametrize("quotient,runs", [(True, 24), (False, 240)])
-    def test_shared_stats_do_not_spend_the_budget(self, quotient, runs):
+    @pytest.mark.parametrize("core,runs", [("compiled", 24), ("generator", 240)])
+    def test_shared_stats_do_not_spend_the_budget(self, core, runs):
         # Each exploration gets the whole budget, however many runs the
         # stats accumulator it shares has already counted.
-        spec = get_spec("renaming")
         shared = EngineStats()
         for _ in range(3):
-            PrefixSharingEngine(
-                spec_factory(spec, 4, quotient=quotient),
-                max_runs=runs,
-                stats=shared,
-                quotient=quotient,
-                relabeler=spec.value_relabel if quotient else None,
-            ).decided_vectors()
+            engine = spec_engine(
+                core, "renaming", 4, max_runs=runs, stats=shared
+            )
+            engine.decided_vectors()
         assert shared.runs == 3 * runs > runs
 
-    @pytest.mark.parametrize("mode", ["exact", "memoized", "quotient"])
+    @pytest.mark.parametrize("path", ["runs", "reference", "explore_one"])
     @pytest.mark.parametrize("name", NAMED_SPECS)
-    def test_budget_edge_is_the_materialized_run_count(self, name, mode):
+    def test_budget_edge_is_the_materialized_run_count(self, name, path):
         # A budget of exactly the runs an exploration materializes lets it
-        # complete; one less raises.  Each mode materializes a different
-        # number (wsb-grh n=3 has 39,330 exact runs, so it runs at n=2).
-        n = 2 if (name, mode) == ("wsb-grh", "exact") else 3
-        options = dict(memoize=mode != "exact", quotient=mode == "quotient")
-        unbudgeted = explore_one(name, n, **options)
-        budget = unbudgeted.stats.runs
-        assert budget <= unbudgeted.runs
-        budgeted = explore_one(name, n, max_runs=budget, **options)
-        assert (budgeted.runs, budgeted.distinct) == (
-            unbudgeted.runs,
-            unbudgeted.distinct,
-        )
+        # complete; one less raises.  Each path materializes a different
+        # number: every run on the reference walk (wsb-grh n=3 has 39,330,
+        # so it walks n=2), the leaves its exact memo misses, or the
+        # leaves the production quotient misses.
+        n = 2 if (name, path) == ("wsb-grh", "runs") else 3
+
+        def explore(max_runs=None):
+            """(runs, distinct, materialized runs) of one exploration."""
+            if path == "explore_one":
+                result = explore_one(name, n, max_runs=max_runs)
+                return result.runs, result.distinct, result.stats.runs
+            engine = spec_engine("generator", name, n, max_runs=max_runs)
+            if path == "reference":
+                decisions = engine.decided_vectors()
+            else:
+                decisions = Counter(
+                    tuple(freeze_value(v) for v in result.outputs)
+                    for result in engine.runs()
+                )
+            return sum(decisions.values()), len(decisions), engine.stats.runs
+
+        runs, distinct, budget = explore()
+        assert budget <= runs
+        assert explore(max_runs=budget)[:2] == (runs, distinct)
         with pytest.raises(ExplorationBudgetExceeded):
-            explore_one(name, n, max_runs=budget - 1, **options)
+            explore(max_runs=budget - 1)
 
 
 class TestSymmetryCanonicalization:
@@ -386,13 +383,24 @@ class TestSymmetryCanonicalization:
         assert fast.runs < full.runs
 
 
-def explore_stats(factory, spec, quotient, stats=None):
+def spec_engine(core, name, n, **options):
+    """An engine over one spec: the production compiled factory
+    (frame-merged step table, the spec's relabeler) or the generator
+    reference."""
+    spec = get_spec(name)
+    if core == "generator":
+        return PrefixSharingEngine(make_spec_runtime(spec, n), **options)
+    return PrefixSharingEngine(
+        make_spec_machine(spec, n, frame_nodes=True),
+        relabeler=spec.value_relabel,
+        **options,
+    )
+
+
+def explore_stats(factory, spec, stats=None):
     """Decided vectors and stats of one exploration over ``factory``."""
     engine = PrefixSharingEngine(
-        factory,
-        stats=stats,
-        quotient=quotient,
-        relabeler=spec.value_relabel if quotient else None,
+        factory, stats=stats, relabeler=spec.value_relabel
     )
     return engine.decided_vectors(), engine.stats
 
@@ -401,15 +409,15 @@ class TestSharedStats:
     """A shared :class:`EngineStats` sums the explorations run into it; the
     stack high-water mark is their maximum."""
 
-    @pytest.mark.parametrize("quotient", [True, False])
+    @pytest.mark.parametrize("core", ["compiled", "generator"])
     @pytest.mark.parametrize("name", NAMED_SPECS)
-    def test_shared_stats_sum_each_exploration(self, name, quotient):
-        spec = get_spec(name)
+    def test_shared_stats_sum_each_exploration(self, name, core):
         sizes = (3, 2)  # the deeper tree first, so its peak must survive
 
         def explore(n, stats=None):
-            factory = spec_factory(spec, n, quotient=quotient)
-            return explore_stats(factory, spec, quotient, stats)[1]
+            engine = spec_engine(core, name, n, stats=stats)
+            engine.decided_vectors()
+            return engine.stats
 
         alone = [explore(n) for n in sizes]
         shared = EngineStats()
@@ -435,29 +443,24 @@ class TestStepTableReuse:
     WALK = ("nodes", "runs", "memo_hits", "memo_entries", "orbits",
             "orbit_hits", "peak_stack")
 
-    @pytest.mark.parametrize("quotient", [True, False])
+    @pytest.mark.parametrize("frame_nodes", [True, False])
     @pytest.mark.parametrize("name", NAMED_SPECS)
-    def test_second_exploration_walks_the_traced_table(self, name, quotient):
+    def test_second_exploration_walks_the_traced_table(self, name, frame_nodes):
         spec = get_spec(name)
-        factory = spec_factory(spec, 3, quotient=quotient)
-        first, cold = explore_stats(factory, spec, quotient)
+        factory = make_spec_machine(spec, 3, frame_nodes=frame_nodes)
+        first, cold = explore_stats(factory, spec)
         traced = len(factory.program.ops)
-        second, warm = explore_stats(factory, spec, quotient)
+        second, warm = explore_stats(factory, spec)
         assert second == first
         assert len(factory.program.ops) == traced  # nothing left to trace
-        if quotient:
-            # The probe traces an edge the cold table lacks, so even the
-            # first exploration finds every orbit hit before a fork.
-            assert cold.lex_pruned == cold.orbit_hits
-            assert [getattr(warm, f) for f in self.WALK] == [
-                getattr(cold, f) for f in self.WALK
-            ]
-            # Every edge is traced now, so the probe finds every orbit
-            # hit before a fork.
-            assert warm.lex_pruned == warm.orbit_hits
-            assert warm.forks <= cold.forks
-        else:
-            assert warm == cold
+        # The probe traces an edge the cold table lacks, so even the
+        # first exploration finds every orbit hit before a fork.
+        assert cold.lex_pruned == cold.orbit_hits
+        assert [getattr(warm, f) for f in self.WALK] == [
+            getattr(cold, f) for f in self.WALK
+        ]
+        assert warm.lex_pruned == warm.orbit_hits
+        assert warm.forks <= cold.forks
 
     @pytest.mark.parametrize("name", NAMED_SPECS)
     def test_independent_factories_build_the_same_table(self, name):
@@ -467,8 +470,8 @@ class TestStepTableReuse:
         spec = get_spec(name)
         programs = []
         for _ in range(2):
-            factory = spec_factory(spec, 3, quotient=True)
-            explore_stats(factory, spec, quotient=True)
+            factory = make_spec_machine(spec, 3, frame_nodes=True)
+            explore_stats(factory, spec)
             programs.append(factory.program)
         first, second = programs
         assert len(first.ops) > 0
@@ -551,60 +554,49 @@ class TestBatchAPI:
             )
 
 
-class TestRuntimeCores:
-    """The engine is core-polymorphic; explore_one routes by name."""
+class TestGeneratorReference:
+    """The production path against the generator reference it replaced:
+    :func:`explore_one` and :func:`check_algorithm_exhaustive` run the
+    compiled core, the reference runs :class:`Runtime`."""
 
     @pytest.mark.parametrize("name,n", [(s, n) for s in NAMED_SPECS for n in (2, 3)])
-    def test_cores_agree(self, name, n):
-        compiled = explore_one(name, n, core="compiled")
-        generator = explore_one(name, n, core="generator")
-        assert (compiled.runs, compiled.distinct, compiled.violations) == (
-            generator.runs, generator.distinct, generator.violations
+    def test_explore_one_matches_generator_reference(self, name, n):
+        spec = get_spec(name)
+        result = explore_one(name, n)
+        reference = PrefixSharingEngine(
+            make_spec_runtime(spec, n)
+        ).decided_vectors()
+        task = spec.task_factory(n)
+        identities = list(range(1, n + 1))
+        violations = sum(
+            count
+            for outputs, count in reference.items()
+            if not task.is_legal_output(list(outputs), identities)
         )
-        assert compiled.core == "compiled"
-        assert generator.core == "generator"
-
-    def test_unknown_core_rejected(self):
-        with pytest.raises(ValueError, match="unknown runtime core"):
-            explore_one("wsb", 2, core="quantum")
-        with pytest.raises(ValueError, match="unknown runtime core"):
-            explore_many(["wsb"], [2], core="quantum")
-
-    def test_exhaustive_check_cores_agree(self):
-        from repro.algorithms import (
-            figure2_renaming,
-            figure2_system_factory,
-            figure2_task,
+        assert (result.runs, result.distinct, result.violations) == (
+            sum(reference.values()), len(reference), violations
         )
-        from repro.shm import check_algorithm_exhaustive
+        assert result.stats.orbits > 0  # the orbit quotient ran
 
-        compiled = check_algorithm_exhaustive(
-            figure2_task(3),
-            figure2_renaming(),
+    def test_exhaustive_check_matches_legacy_reference(self):
+        from repro.shm import check_algorithm_exhaustive, validate_run
+
+        spec = get_spec("renaming")
+        task = spec.task_factory(3)
+        report = check_algorithm_exhaustive(
+            task,
+            spec.algorithm_factory(3),
             3,
-            system_factory=figure2_system_factory(3, seed=0),
-            core="compiled",
+            system_factory=spec.system_factory(3),
         )
-        generator = check_algorithm_exhaustive(
-            figure2_task(3),
-            figure2_renaming(),
-            3,
-            system_factory=figure2_system_factory(3, seed=0),
-            core="generator",
-        )
-        assert compiled.ok and generator.ok
-        assert compiled.runs == generator.runs
-
-    def test_exhaustive_check_unknown_core(self):
-        from repro.core.named import weak_symmetry_breaking
-        from repro.shm import check_algorithm_exhaustive
-
-        spec = get_spec("wsb")
-        with pytest.raises(ValueError, match="unknown runtime core"):
-            check_algorithm_exhaustive(
-                weak_symmetry_breaking(2),
-                spec.algorithm_factory(2),
-                2,
-                system_factory=spec.system_factory(2),
-                core="quantum",
-            )
+        factory = make_spec_runtime(spec, 3)
+        runs = violations = 0
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(range(3), size):
+                for result in _legacy_explore_interleavings(
+                    factory, participants=subset
+                ):
+                    runs += 1
+                    violations += len(validate_run(task, result))
+        assert report.ok and violations == 0
+        assert report.runs == runs

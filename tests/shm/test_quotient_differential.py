@@ -1,15 +1,15 @@
 """Differential + property suite for the value-symmetry orbit quotient.
 
-The quotient (:meth:`PrefixSharingEngine.decided_vectors` with
-``quotient=True``) memoizes over orbit keys — decided outputs factored
-out, oracle arrival order collapsed to the acquired mask, and (for specs
-declaring interchangeable oracle values) written-but-undecided values
-canonically relabeled.  All of that is aggressive; the generator runtime
-is the reference semantics, so this suite pins:
+The quotient (:meth:`PrefixSharingEngine.decided_vectors` on a compiled
+machine) memoizes over orbit keys — decided outputs factored out, oracle
+arrival order collapsed to the acquired mask, and (for specs declaring
+interchangeable oracle values) written-but-undecided values canonically
+relabeled.  All of that is aggressive; the generator runtime is the
+reference semantics, so this suite pins:
 
 * **multiset identity** — for every registry spec at n <= 3, the
   quotiented decided-vector Counter is byte-identical to the generator
-  reference (serial and subset-profile paths);
+  reference, memoized and run by run (serial and subset-profile paths);
 * **probe fidelity** — :meth:`MachineState.probe_step`'s predicted orbit
   key and decided value match a real fork + step at every reachable
   state of a bounded walk;
@@ -33,12 +33,8 @@ from repro.shm import (
     make_spec_runtime,
 )
 from repro.shm.compiled import ValueCanonicalizer
-from repro.shm.engine import (
-    EngineStats,
-    explore_decided_subsets,
-    explore_one,
-    spec_factory,
-)
+from repro.shm.engine import EngineStats, explore_decided_subsets
+from repro.shm.runtime import freeze_value
 
 ALL_SPECS = sorted(available_specs())
 CASES = [
@@ -58,10 +54,9 @@ def reference_vectors(name, n, participants=None):
 def quotient_engine(name, n, participants=None, stats=None, **kwargs):
     spec = get_spec(name)
     return PrefixSharingEngine(
-        spec_factory(spec, n, quotient=True),
+        make_spec_machine(spec, n, frame_nodes=True),
         participants=participants,
         stats=stats,
-        quotient=True,
         relabeler=spec.value_relabel,
         **kwargs,
     )
@@ -81,24 +76,15 @@ class TestQuotientMultisetIdentity:
             assert stats.orbit_hits + stats.lex_pruned > 0
 
     @pytest.mark.parametrize("name,n", CASES)
-    def test_quotient_matches_exact_engine_mode(self, name, n):
-        spec = get_spec(name)
-        exact = PrefixSharingEngine(
-            spec_factory(spec, n)
-        ).decided_vectors(memoize=False)
-        assert quotient_engine(name, n).decided_vectors() == exact
-
-    @pytest.mark.parametrize("name,n", CASES)
-    def test_explore_one_quotient_flag(self, name, n):
-        on = explore_one(name, n, quotient=True)
-        off = explore_one(name, n, quotient=False)
-        assert on.quotient and not off.quotient
-        assert (on.runs, on.distinct, on.violations) == (
-            off.runs,
-            off.distinct,
-            off.violations,
+    def test_quotient_matches_every_reference_run(self, name, n):
+        # Unmemoized: one count per run the generator reference walks.
+        runs = Counter(
+            tuple(freeze_value(v) for v in result.outputs)
+            for result in PrefixSharingEngine(
+                make_spec_runtime(get_spec(name), n)
+            ).runs()
         )
-        assert on.stats.orbits > 0 and off.stats.orbits == 0
+        assert quotient_engine(name, n).decided_vectors() == runs
 
     @pytest.mark.parametrize("name,n", CASES)
     def test_proper_subset_participants(self, name, n):
@@ -115,9 +101,8 @@ class TestSubsetTotals:
         spec = get_spec(name)
         n = max(3, spec.min_n)
         quotiented = explore_decided_subsets(
-            spec_factory(spec, n, quotient=True),
+            make_spec_machine(spec, n, frame_nodes=True),
             assume_symmetric=False,
-            quotient=True,
             value_relabel=spec.value_relabel,
         )
         reference = explore_decided_subsets(
@@ -135,9 +120,8 @@ class TestSubsetTotals:
     def test_subset_totals_sum_to_full_sweep(self):
         spec = get_spec("wsb-grh")
         profile = explore_decided_subsets(
-            spec_factory(spec, 3, quotient=True),
+            make_spec_machine(spec, 3, frame_nodes=True),
             assume_symmetric=False,
-            quotient=True,
         )
         total_runs = sum(
             sum(counter.values()) for counter in profile.by_subset.values()
@@ -282,6 +266,18 @@ class TestCanonicalIdempotence:
         assert collapsed > 0, "no two raw orbits shared a canonical key"
 
 
+def exact_key(machine):
+    """The exact global state of a machine: program counters, decided
+    outputs, cells and each oracle's arrival order (no generic objects in
+    the registry specs)."""
+    return (
+        tuple(machine._pc),
+        tuple(machine.outputs),
+        machine._cells,
+        tuple(map(tuple, machine._oracle_arrivals)),
+    )
+
+
 class TestOrbitKeyCoarseness:
     @pytest.mark.parametrize("name,n", CASES)
     def test_orbit_key_factors_out_decided_outputs(self, name, n):
@@ -297,8 +293,7 @@ class TestOrbitKeyCoarseness:
             pcs = key[:n]
             assert len(pcs) == n
             assert tuple(machine.outputs) not in (key,)  # structural shape
-            state = machine.state_key()
-            assert state[0] == pcs  # same pc component as the exact key
+            assert exact_key(machine)[0] == pcs
 
     def test_arrival_order_collapses(self):
         # Two states whose exact keys differ only in the order processes
@@ -310,11 +305,9 @@ class TestOrbitKeyCoarseness:
         first: dict = {}
         merged = 0
         for machine in walk_states(make_machine, limit=2000):
-            state = machine.state_key()
-            pcs, outputs, cells, arrivals, generic = state
-            unordered = (
-                pcs, outputs, cells, tuple(map(frozenset, arrivals)), generic
-            )
+            state = exact_key(machine)
+            pcs, outputs, cells, arrivals = state
+            unordered = (pcs, outputs, cells, tuple(map(frozenset, arrivals)))
             known, known_key = first.setdefault(
                 unordered, (state, machine.orbit_key())
             )

@@ -30,7 +30,6 @@ def quotient_vectors(name, n, frame_nodes=True, stats=None):
     spec = get_spec(name)
     return PrefixSharingEngine(
         make_spec_machine(spec, n, frame_nodes=frame_nodes),
-        quotient=True,
         relabeler=spec.value_relabel,
         stats=stats,
     ).decided_vectors()

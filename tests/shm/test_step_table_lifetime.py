@@ -24,9 +24,7 @@ def paused_collector():
 
 
 def _explore(factory, spec):
-    engine = PrefixSharingEngine(
-        factory, quotient=True, relabeler=spec.value_relabel
-    )
+    engine = PrefixSharingEngine(factory, relabeler=spec.value_relabel)
     return sum(engine.decided_vectors().values())
 
 

@@ -81,10 +81,15 @@ class TestCommands:
         assert "error" in capsys.readouterr().err
 
     def test_figure1_legacy_method_matches(self, capsys):
+        from repro.analysis import to_dot
+        from repro.analysis.figure1 import Figure1
+        from repro.core.order import hasse_diagram
+        from repro.core.store import get_store
+
         assert main(["figure1", "--dot"]) == 0
-        universe_dot = capsys.readouterr().out
-        assert main(["figure1", "--dot", "--method", "legacy"]) == 0
-        assert capsys.readouterr().out == universe_dot
+        tasks = [entry.task for entry in get_store().canonical_entries(6, 3)]
+        legacy = Figure1(n=6, m=3, graph=hasse_diagram(tasks, method="legacy"))
+        assert capsys.readouterr().out == to_dot(legacy) + "\n"
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0
@@ -343,7 +348,6 @@ class TestExploreCommand:
         assert main(["explore", "--tasks", "wsb", "--n", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["tasks"] == ["wsb"]
-        assert payload["core"] == "compiled"
         assert payload["failures"] == 0
         (row,) = payload["results"]
         assert row["name"] == "wsb" and row["n"] == 2
@@ -363,18 +367,6 @@ class TestExploreCommand:
         payload = json.loads(path.read_text())
         assert payload["results"][0]["name"] == "wsb"
 
-    def test_explore_generator_core(self, capsys):
-        assert (
-            main(
-                ["explore", "--tasks", "wsb", "--n", "2",
-                 "--core", "generator", "--json"]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["core"] == "generator"
-        assert payload["results"][0]["core"] == "generator"
-
     def test_explore_exhausted_budget(self, capsys):
         # renaming n=4 materializes 24 leaves on the quotient DFS.
         argv = ["explore", "--tasks", "renaming", "--n", "4", "--max-runs", "10"]
@@ -387,8 +379,7 @@ class TestExploreCommand:
         assert main(["explore", "--tasks", "renaming", "--n", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
-            "tasks", "n", "core", "memoize", "quotient",
-            "total_seconds", "failures", "results",
+            "tasks", "n", "total_seconds", "failures", "results",
         }
         (row,) = payload["results"]
         expected = explore_one("renaming", 3).to_json()
@@ -397,34 +388,28 @@ class TestExploreCommand:
         assert row["runs"] == 1680
 
     @pytest.mark.parametrize(
-        "options,memoize,quotient",
-        [
-            ([], True, True),
-            (["--quotient", "off"], True, False),
-            (["--no-memo"], False, False),
-            (["--core", "generator"], True, False),
-        ],
+        "task,n", [("wsb", 2), ("wsb", 3), ("renaming", 3)]
     )
-    def test_explore_reference_paths_agree(
-        self, capsys, options, memoize, quotient
-    ):
-        # ``quotient`` is whether the orbit quotient actually ran: it needs
-        # the memo and the compiled core.
-        argv = ["explore", "--tasks", "renaming", "--n", "3", "--json"]
-        assert main(argv + options) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["memoize"] == memoize
-        (row,) = payload["results"]
-        assert (row["runs"], row["distinct"], row["violations"]) == (1680, 9, 0)
-        assert row["quotient"] == quotient
+    def test_explore_rows_match_the_legacy_explorer(self, capsys, task, n):
+        # The reference every explore row answers to: the re-execution
+        # explorer over the generator runtime, one run at a time.
+        from collections import Counter
 
-    def test_explore_compare_legacy(self, capsys):
-        argv = ["explore", "--tasks", "wsb", "--n", "2", "3", "--compare-legacy"]
+        from repro.shm import get_spec, make_spec_runtime
+        from repro.shm.explore import _legacy_explore_interleavings
+
+        argv = ["explore", "--tasks", task, "--n", str(n), "--json"]
         assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "legacy re-execution explorer" in out
-        assert "wsb        n=2  runs=2 " in out
-        assert "wsb        n=3  runs=6 " in out
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        legacy = Counter(
+            tuple(result.outputs)
+            for result in _legacy_explore_interleavings(
+                make_spec_runtime(get_spec(task), n)
+            )
+        )
+        assert (row["runs"], row["distinct"], row["violations"]) == (
+            sum(legacy.values()), len(legacy), 0
+        )
 
     def test_explore_json_reports_election_refutation(self, capsys):
         # Election violations are the expected model-checking outcome,
