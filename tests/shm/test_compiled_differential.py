@@ -80,10 +80,17 @@ class TestMultisetIdentity:
         assert compiled_runs == generator_runs
 
     @pytest.mark.parametrize("name,n", CASES)
-    def test_decided_vector_multisets_identical(self, name, n):
-        make_runtime, make_machine = spec_pair(name, n)
-        generator = PrefixSharingEngine(make_runtime).decided_vectors()
-        compiled = PrefixSharingEngine(make_machine).decided_vectors()
+    @pytest.mark.parametrize("frame_nodes", [False, True])
+    def test_decided_vector_multisets_identical(self, name, n, frame_nodes):
+        # The quotient over either step table: the trie over result
+        # histories, or the DAG over local states that production uses.
+        spec = get_spec(name)
+        generator = PrefixSharingEngine(
+            make_spec_runtime(spec, n)
+        ).decided_vectors()
+        compiled = PrefixSharingEngine(
+            make_spec_machine(spec, n, frame_nodes=frame_nodes)
+        ).decided_vectors()
         assert compiled == generator
 
     @pytest.mark.parametrize("name,n", CASES)

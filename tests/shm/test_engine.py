@@ -183,6 +183,34 @@ class TestTreeShape:
         assert engine.stats.runs == runs
         assert engine.stats.forks == runs - 1
 
+    @pytest.mark.parametrize("name,n", EQUIVALENCE_CASES)
+    def test_unmemoized_counting_walks_the_same_tree(self, name, n):
+        # Counting decided vectors over ``runs()`` is the unmemoized DFS.
+        # The generator reference and the compiled core walk one tree, and
+        # the reference's memoized count adds up to that tree's runs.
+        spec = get_spec(name)
+        walkers = [
+            PrefixSharingEngine(make_spec_runtime(spec, n)),
+            PrefixSharingEngine(make_spec_machine(spec, n)),
+        ]
+        reference, compiled = (
+            Counter(
+                tuple(freeze_value(v) for v in result.outputs)
+                for result in walker.runs()
+            )
+            for walker in walkers
+        )
+        assert compiled == reference
+        shapes = [
+            (walker.stats.runs, walker.stats.nodes, walker.stats.forks)
+            for walker in walkers
+        ]
+        assert shapes[0] == shapes[1]
+        counter = PrefixSharingEngine(make_spec_runtime(spec, n))
+        assert counter.decided_vectors() == reference
+        assert sum(reference.values()) == shapes[0][0]
+        assert counter.stats.nodes <= shapes[0][1]
+
     def test_depth_two_prefixes_in_pid_order(self):
         # Every renaming process is enabled for its first two steps, so
         # the runs' two-step prefixes are all 9 pid pairs, met in

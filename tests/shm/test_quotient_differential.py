@@ -87,6 +87,22 @@ class TestQuotientMultisetIdentity:
         assert quotient_engine(name, n).decided_vectors() == runs
 
     @pytest.mark.parametrize("name,n", CASES)
+    def test_quotient_matches_exact_engine_mode(self, name, n):
+        # The exact mode of the production step table itself: every run
+        # its unmemoized walk produces, counted against the quotient over
+        # the same (then fully traced) table.
+        spec = get_spec(name)
+        factory = make_spec_machine(spec, n, frame_nodes=True)
+        exact = Counter(
+            tuple(freeze_value(v) for v in result.outputs)
+            for result in PrefixSharingEngine(factory).runs()
+        )
+        quotient = PrefixSharingEngine(
+            factory, relabeler=spec.value_relabel
+        ).decided_vectors()
+        assert quotient == exact
+
+    @pytest.mark.parametrize("name,n", CASES)
     def test_proper_subset_participants(self, name, n):
         participants = tuple(range(n - 1)) or (0,)
         quotiented = quotient_engine(

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import re
 
 import pytest
 
@@ -90,6 +91,14 @@ class TestCommands:
         tasks = [entry.task for entry in get_store().canonical_entries(6, 3)]
         legacy = Figure1(n=6, m=3, graph=hasse_diagram(tasks, method="legacy"))
         assert capsys.readouterr().out == to_dot(legacy) + "\n"
+
+    def test_figure1_has_one_construction(self, capsys):
+        # The universe cell is the figure's only construction; the legacy
+        # pairwise Hasse diagram is a test reference, not a CLI choice.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure1", "--method", "legacy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0
@@ -388,11 +397,20 @@ class TestExploreCommand:
         assert row["runs"] == 1680
 
     @pytest.mark.parametrize(
-        "task,n", [("wsb", 2), ("wsb", 3), ("renaming", 3)]
+        "task,n",
+        [
+            ("wsb", 2),
+            ("wsb", 3),
+            ("renaming", 2),
+            ("renaming", 3),
+            ("wsb-grh", 2),
+            ("election", 2),
+        ],
     )
     def test_explore_rows_match_the_legacy_explorer(self, capsys, task, n):
         # The reference every explore row answers to: the re-execution
-        # explorer over the generator runtime, one run at a time.
+        # explorer over the generator runtime, one run at a time.  Election
+        # is refuted, so its row's violations are compared too.
         from collections import Counter
 
         from repro.shm import get_spec, make_spec_runtime
@@ -401,15 +419,44 @@ class TestExploreCommand:
         argv = ["explore", "--tasks", task, "--n", str(n), "--json"]
         assert main(argv) == 0
         (row,) = json.loads(capsys.readouterr().out)["results"]
-        legacy = Counter(
-            tuple(result.outputs)
-            for result in _legacy_explore_interleavings(
-                make_spec_runtime(get_spec(task), n)
+        spec = get_spec(task)
+        legal = spec.task_factory(n).is_legal_output
+        legacy = Counter()
+        violations = 0
+        for result in _legacy_explore_interleavings(make_spec_runtime(spec, n)):
+            legacy[tuple(result.outputs)] += 1
+            violations += not legal(
+                list(result.outputs), list(result.identities)
             )
-        )
         assert (row["runs"], row["distinct"], row["violations"]) == (
-            sum(legacy.values()), len(legacy), 0
+            sum(legacy.values()), len(legacy), violations
         )
+        assert (violations > 0) == (task == "election")
+
+    def test_explore_offers_one_path(self, capsys):
+        # The compiled orbit quotient is the only exploration path: no
+        # option chooses another.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "--help"])
+        assert exit_info.value.code == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--json", "--tasks", "--n", "--max-runs"}
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--core", "generator"],
+            ["--no-memo"],
+            ["--quotient", "off"],
+            ["--compare-legacy"],
+        ],
+    )
+    def test_explore_rejects_path_switches(self, capsys, options):
+        argv = ["explore", "--tasks", "wsb", "--n", "2", *options]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {options[0]}" in capsys.readouterr().err
 
     def test_explore_json_reports_election_refutation(self, capsys):
         # Election violations are the expected model-checking outcome,
