@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.solvability import (
-    binomial_gcd,
     binomials_coprime,
+    explicit_binomial_gcd,
     is_prime_power,
     wsb_wait_free_solvable,
 )
@@ -33,13 +33,14 @@ class BinomialRow:
 
 
 def binomial_table(max_n: int = 32, min_n: int = 2) -> list[BinomialRow]:
-    """Rows for n in [min_n..max_n]."""
+    """Rows for n in [min_n..max_n]; the gcd is computed from every
+    binomial, so the table shows Ram's theorem instead of assuming it."""
     rows = []
     for n in range(min_n, max_n + 1):
         rows.append(
             BinomialRow(
                 n=n,
-                gcd=binomial_gcd(n),
+                gcd=explicit_binomial_gcd(n),
                 coprime=binomials_coprime(n),
                 prime_power=is_prime_power(n),
                 wsb_solvable=wsb_wait_free_solvable(n),
@@ -50,14 +51,16 @@ def binomial_table(max_n: int = 32, min_n: int = 2) -> list[BinomialRow]:
 
 
 def check_ram_theorem(max_n: int = 256) -> list[int]:
-    """Cross-check gcd{C(n,i)} == 1 iff n is not a prime power.
+    """Cross-check gcd{C(n,i)} == 1 iff n is not a prime power, with
+    the gcd computed from every binomial (the production
+    :func:`~repro.core.solvability.binomial_gcd` assumes the theorem).
 
     Returns the n values violating the equivalence (expected: none).
     """
     return [
         n
         for n in range(2, max_n + 1)
-        if binomials_coprime(n) == is_prime_power(n)
+        if (explicit_binomial_gcd(n) == 1) == is_prime_power(n)
     ]
 
 

@@ -196,10 +196,90 @@ def homonymous_decision_function(n: int, x: int) -> dict[int, int]:
 
 @managed_cache("solvability.binomial_gcd")
 def binomial_gcd(n: int) -> int:
-    """``gcd{ C(n, i) : 1 <= i <= floor(n/2) }`` (0 when the set is empty)."""
+    """``gcd{ C(n, i) : 1 <= i <= floor(n/2) }`` (0 when the set is empty).
+
+    By Ram's theorem the gcd is p when ``n = p**k`` and 1 otherwise, so
+    below 2**64 it is read off n's prime-power structure in microseconds;
+    at and above 2**64, where :func:`_is_prime` is no longer proven, it
+    is :func:`explicit_binomial_gcd`.
+    """
+    if n < 2:
+        return 0
+    if n >= PRIME_POWER_GCD_BOUND:
+        return explicit_binomial_gcd(n)
+    return _prime_power_base(n) or 1
+
+
+def explicit_binomial_gcd(n: int) -> int:
+    """The gcd of Theorem 10's binomial set, computed from every member:
+    the definition :func:`binomial_gcd` answers by Ram's theorem."""
     if n < 2:
         return 0
     return math.gcd(*(math.comb(n, i) for i in range(1, n // 2 + 1)))
+
+
+#: :func:`binomial_gcd` reads the gcd off n's prime-power structure
+#: below this bound, where :func:`_is_prime` is exact.
+PRIME_POWER_GCD_BOUND = 1 << 64
+
+#: Miller-Rabin bases, the first twelve primes: no composite below
+#: 318665857834031151167461 (about 3.2 * 10**23, Sorenson and Webster,
+#: 2015) is a strong pseudoprime to all of them, so they decide every
+#: n < 2**64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for ``2 <= n < 2**64``."""
+    for prime in _WITNESSES:
+        if n % prime == 0:
+            return n == prime
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in _WITNESSES:
+        x = pow(base, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, k: int) -> int:
+    """``floor(n ** (1/k))``, exact: the float guess is corrected in
+    integers."""
+    root = int(round(n ** (1.0 / k)))
+    while root**k > n:
+        root -= 1
+    while (root + 1) ** k <= n:
+        root += 1
+    return root
+
+
+def _prime_power_base(n: int) -> int | None:
+    """p when ``n = p**k`` for a prime p and k >= 1, else None
+    (``2 <= n < 2**64``).
+
+    A perfect power ``n = r**q`` is a prime power exactly when r is one
+    (with the same prime), and a perfect k-th power is a perfect q-th
+    power for each prime q dividing k, so prime exponents suffice.
+    """
+    if _is_prime(n):
+        return n
+    for exponent in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                     47, 53, 59, 61):
+        if 1 << exponent > n:
+            break
+        root = _integer_root(n, exponent)
+        if root**exponent == n:
+            return _prime_power_base(root)
+    return None
 
 
 def binomials_coprime(n: int) -> bool:

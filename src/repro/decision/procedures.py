@@ -153,9 +153,11 @@ def value_padding(n: int, m: int, low: int, high: int) -> ProcedureResult | None
     """Decide via the same bounds over fewer/more values, if closed forms can.
 
     Only applies to canonical tasks with ``l* = 0`` (padding needs unused
-    values to be legal).  Scans ``m' < m`` for a solvable harder sibling
-    and ``m < m' <= 2n-2`` for an unsolvable weaker one; both witnesses
-    are closed-form, so this tier never leaves the family lattice.
+    values to be legal).  Finds the least ``m' < m`` with a solvable
+    harder sibling, else the least ``m < m' <= 2n-2`` with an unsolvable
+    weaker one; both witnesses are closed-form, so this tier never leaves
+    the family lattice.  Only the few ``m'`` of :func:`_padding_candidates`
+    are classified, so the cost does not grow with n.
     """
     key = canonical_key(n, m, low, high)
     n, m, low_c, high_c = key
@@ -163,7 +165,7 @@ def value_padding(n: int, m: int, low: int, high: int) -> ProcedureResult | None
         return None
     # Harder siblings: fewer values, same bounds.  Solvable => solvable.
     smallest = max(1, -(-n // high_c))
-    for m2 in range(smallest, m):
+    for m2 in _padding_candidates(n, high_c, smallest, m, harder=True):
         verdict, _, payload = classify_parameters_certified(n, m2, 0, high_c)
         if payload is not None and verdict.value in SOLVABLE_VALUES:
             witness = (n, m2, 0, high_c)
@@ -185,7 +187,7 @@ def value_padding(n: int, m: int, low: int, high: int) -> ProcedureResult | None
                 certificate=certificate,
             )
     # Weaker siblings: more values, same bounds.  Unsolvable => unsolvable.
-    for m2 in range(m + 1, max(m + 1, 2 * n - 1)):
+    for m2 in _padding_candidates(n, high_c, m + 1, max(m + 1, 2 * n - 1)):
         verdict, _, payload = classify_parameters_certified(n, m2, 0, high_c)
         if payload is not None and verdict is Solvability.UNSOLVABLE:
             witness = (n, m2, 0, high_c)
@@ -207,6 +209,35 @@ def value_padding(n: int, m: int, low: int, high: int) -> ProcedureResult | None
                 certificate=certificate,
             )
     return None
+
+
+def _padding_candidates(
+    n: int, high: int, start: int, stop: int, harder: bool = False
+) -> list[int]:
+    """The ``m'`` in ``range(start, stop)``, ascending, at which a scan
+    for the least padding witness ``<n, m', 0, high>`` can stop.
+
+    Below ``s = ceil(n / high)`` the sibling is infeasible.  At ``s`` its
+    canonical lower bound is positive, so any closed form may apply.
+    Above ``s`` its canonical bounds stay ``(0, high)``: it is trivial
+    from the first ``m'`` Theorem 9 covers on (a harder witness, found by
+    bisection, since triviality only grows with ``m'``), open otherwise,
+    except for (2n-2)-renaming at ``m' = 2n-2``.  ``start`` stays a
+    candidate, so that a scan from ``m' < 1`` raises as a full scan does.
+    """
+    smallest = max(1, -(-n // high))
+    candidates = {start, smallest, 2 * n - 2}
+    if harder:
+        lo, hi = smallest + 1, stop
+        while lo < hi:
+            middle = (lo + hi) // 2
+            verdict = classify_parameters_certified(n, middle, 0, high)[0]
+            if verdict is Solvability.TRIVIAL:
+                hi = middle
+            else:
+                lo = middle + 1
+        candidates.add(lo)
+    return sorted(m2 for m2 in candidates if start <= m2 < stop)
 
 
 def structural_verdict(

@@ -16,25 +16,27 @@ request is handed to ``handler_threads`` threads started with the
 server: the loop puts the job on a :class:`queue.SimpleQueue`, and the
 thread that routes it posts the answer back with one
 ``loop.call_soon_threadsafe`` — one wake-up each way.  Two timers per
-connection bound the waiting: an idle timer, armed at connect and after
-each answer, and a deadline timer, armed for each routed request and
-cancelled by its answer.
+connection bound the waiting: an idle timer, armed once at connect,
+which closes the connection when nothing was answered for
+``idle_timeout`` and otherwise re-arms itself for what is left of it,
+and a deadline timer, armed for each routed request and cancelled by
+its answer.
 
 Two kinds of request are answered on the event loop instead, through
-the same :meth:`UniverseService.handle` (so metrics and the ``304`` rule
-do not change): ``/healthz``, and a request the service's answer memo
-holds (:meth:`UniverseService.memo_holds`; key, scope, bound and
-exclusions are in :mod:`repro.serve.service`).  A memo hit is a
-dictionary lookup, cheaper than the hand-off, and it cannot be held:
-the memo is bypassed while any fault point is armed.  Like ``/healthz``
-such a request takes no in-flight slot, has no deadline and is never
-shed, but it counts toward a connection's dispatches per turn.  Should
-the entry be evicted, or the store's scope move, between the check and
-``handle``, ``handle`` routes the request on the loop: bounded work,
-since every endpoint the memo serves is a point lookup or a query on
-the loaded graph.  Request targets are split by :func:`split_target`,
-which takes plain origin-form targets apart directly and gives the same
-result as ``urlsplit`` and ``parse_qsl``.
+the same :meth:`UniverseService.handle` (so metrics, the answer memo and
+the ``304`` rule do not change): ``/healthz``, and a request whose
+routing is bounded work that never waits
+(:meth:`UniverseService.bounded`: a GET, while no fault point is armed,
+to ``/decide`` below n = 2**64 or to a graph query once the graph is
+loaded; each endpoint's bound is given there).  That costs less than
+the hand-off, and it cannot be held: every request goes to the threads
+while a fault point is armed.  Like ``/healthz`` such a request takes no
+in-flight slot, has no deadline and is never shed, but it counts toward
+a connection's dispatches per turn.  ``/stats``, ``/batch``, the first
+graph load and other methods are routed on the threads.  Request
+targets are split by :func:`split_target`, which takes plain
+origin-form targets apart directly and gives the same result as
+``urlsplit`` and ``parse_qsl``.
 
 The request path is hardened for fault-tolerant serving
 (:class:`ServeConfig` holds the knobs):
@@ -137,8 +139,8 @@ class ServeConfig:
     idle_timeout: float | None = 30.0
     #: In-flight request ceiling; past it new requests are shed with 503.
     max_inflight: int = 128
-    #: Threads routing requests (the event loop answers only ``/healthz``
-    #: and memo hits itself).
+    #: Threads routing requests (the event loop answers ``/healthz`` and
+    #: bounded requests itself, see :meth:`UniverseService.bounded`).
     handler_threads: int = 8
     #: Seconds a stopping server (a draining worker, or a
     #: BackgroundServer's exit) waits for routed requests to be answered
@@ -434,6 +436,8 @@ class _Connection(asyncio.Protocol):
         self.write_paused = False
         self.read_paused = False
         self.idle_timer: asyncio.TimerHandle | None = None
+        #: Loop time of the connect or the last answer (idle timeout).
+        self.last_active = 0.0
         self.deadline_timer: asyncio.TimerHandle | None = None
         self.next_turn: asyncio.Handle | None = None
 
@@ -442,7 +446,10 @@ class _Connection(asyncio.Protocol):
     def connection_made(self, transport) -> None:
         self.transport = transport
         self.state.connections.add(self)
-        self._arm_idle()
+        timeout = self.state.config.idle_timeout
+        if timeout is not None:
+            self.last_active = self.loop.time()
+            self.idle_timer = self.loop.call_later(timeout, self._idle_check)
 
     def connection_lost(self, exc: Exception | None) -> None:
         # A client that resets or vanishes ends its connection quietly.
@@ -539,14 +546,11 @@ class _Connection(asyncio.Protocol):
             headers.get("connection", "keep-alive").lower() != "close"
         ) and not state.draining
         service = state.service
-        if path == "/healthz" or service.memo_holds(method, path, query):
+        if path == "/healthz" or service.bounded(method, path, query):
             # Inline: liveness must not queue behind wedged handler
             # threads, otherwise a supervisor cannot distinguish an
-            # overloaded worker from a dead one; a memo hit is a lookup,
-            # cheaper than the hand-off.  Should the entry vanish before
-            # handle() reads it (evicted, or the store's scope moved),
-            # handle() routes the request here: bounded work, as every
-            # endpoint the memo serves is.
+            # overloaded worker from a dead one; bounded work costs less
+            # than the hand-off.
             try:
                 response = service.handle(
                     method, path, query, body, if_none_match
@@ -563,7 +567,6 @@ class _Connection(asyncio.Protocol):
         job = (self, method, path, query, body, if_none_match)
         self.routed = job
         self.keep_alive = keep_alive
-        self._cancel_idle()
         timeout = state.config.request_timeout
         if timeout is not None:
             self.deadline_timer = self.loop.call_later(
@@ -609,7 +612,7 @@ class _Connection(asyncio.Protocol):
                 return
         self.transport.write(blob)
         if keep_alive:
-            self._arm_idle()
+            self.last_active = self.loop.time()
         else:
             self._close()
 
@@ -627,18 +630,25 @@ class _Connection(asyncio.Protocol):
 
     # -- idle timeout ----------------------------------------------------
 
-    def _arm_idle(self) -> None:
-        timeout = self.state.config.idle_timeout
-        if timeout is not None:
-            self._cancel_idle()
-            self.idle_timer = self.loop.call_later(timeout, self._idle_expired)
-
     def _cancel_idle(self) -> None:
         if self.idle_timer is not None:
             self.idle_timer.cancel()
             self.idle_timer = None
 
-    def _idle_expired(self) -> None:
+    def _idle_check(self) -> None:
+        # One timer per connection, re-armed here rather than per answer:
+        # a routed request keeps the connection busy, and an answer (or the
+        # connect) within idle_timeout leaves the rest of it to wait.
+        timeout = self.state.config.idle_timeout
+        now = self.loop.time()
+        remaining = (
+            timeout
+            if self.routed is not None
+            else self.last_active + timeout - now
+        )
+        if remaining > 0:
+            self.idle_timer = self.loop.call_at(now + remaining, self._idle_check)
+            return
         # No whole request since the last answer (or since connect): close
         # quietly, there is nothing to answer.  Abort rather than close, so
         # a client that stopped reading its answers cannot hold it open.

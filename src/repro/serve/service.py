@@ -72,6 +72,8 @@ import time
 from typing import Any, Mapping
 
 from ..core.cache_config import BoundedDictCache, cache_stats
+from ..core.solvability import PRIME_POWER_GCD_BOUND
+from ..decision.procedures import DecisionBudget
 from ..sweep.report import campaign_status
 from ..testing.faults import FAULTS
 from ..universe.graph import EDGE_KINDS
@@ -88,6 +90,9 @@ from .metrics import ServiceMetrics
 #: Endpoints the batch endpoint may dispatch to (no nesting, no stats —
 #: a batch of batches is a loop the client can write themselves).
 BATCHABLE = ("decide", "cones", "reduction-path", "frontier")
+
+#: The fallback's budget: the structural tiers only, no empirical search.
+FALLBACK_BUDGET = DecisionBudget(max_empirical_n=0)
 
 #: The query parameters each memoized endpoint reads, in key order: its
 #: answer is a function of these values and of the store alone.
@@ -352,14 +357,55 @@ class UniverseService:
         )
         return response
 
+    def bounded(self, method: str, path: str, query: Mapping[str, str]) -> bool:
+        """Whether routing this request is bounded work that never waits,
+        so the HTTP layer answers it on its event loop.
+
+        A GET, while no fault point is armed (an armed hold must be able
+        to hold any request) and once the store's scope is settled
+        (settling it opens the pack and lists the cells), to:
+
+        * ``/decide`` with n < 2**64: a hot-LRU hit, one pack row or one
+          shard, else the structural fallback, whose closed forms cost
+          microseconds below 2**64 (:func:`~repro.core.solvability.
+          binomial_gcd`) and whose padding scan classifies a few
+          siblings whatever n is; not for ``n <= graph_max_n`` outside
+          the store's cells, where the fallback assembles the task's
+          family row (seconds), nor for unparsed n;
+        * ``/cones``, ``/reduction-path`` and ``/frontier`` once the
+          graph is assembled under the scope: one search of the loaded
+          graph (on the 40x6 store, at most about a millisecond).
+
+        Everything else takes a handler thread, its deadline and its
+        in-flight slot: the first graph load, ``/stats`` (it reads
+        files), ``/batch`` (unbounded rows), other methods.  Reads no
+        file and changes nothing.
+        """
+        if method != "GET" or FAULTS.active:
+            return False
+        store = self.store
+        if store.read_scope() is None:
+            return False
+        endpoint = path.strip("/")
+        if endpoint == "decide":
+            try:
+                n, m = int(query["n"]), int(query["m"])
+            except (KeyError, ValueError):
+                return True  # a 400: nothing is routed
+            return n < PRIME_POWER_GCD_BOUND and (
+                n > FALLBACK_BUDGET.graph_max_n or store.cell_listed(n, m) is True
+            )
+        return endpoint in ("cones", "reduction-path", "frontier") and (
+            store.graph_loaded()
+        )
+
     def memo_holds(
         self, method: str, path: str, query: Mapping[str, str]
     ) -> bool:
         """Whether :meth:`handle` would answer this request from the memo.
 
-        Reads no file and changes nothing, not even the memo's counters.
-        The entry can still be evicted, or the scope move, before
-        ``handle`` runs; ``handle`` then routes the request.
+        Reads no file and changes nothing, not even the memo's counters:
+        a probe for tests (the HTTP layer asks :meth:`bounded`).
         """
         slot = self._memo_slot(method, path.strip("/"), query)
         return slot is not None and ANSWERS.peek(*slot) is not None
@@ -470,11 +516,8 @@ class UniverseService:
         """Structural-tiers-only pipeline for out-of-rectangle decides."""
         if self._pipeline is None:
             from ..decision.pipeline import DecisionPipeline
-            from ..decision.procedures import DecisionBudget
 
-            self._pipeline = DecisionPipeline(
-                budget=DecisionBudget(max_empirical_n=0), cache=None
-            )
+            self._pipeline = DecisionPipeline(budget=FALLBACK_BUDGET, cache=None)
         return self._pipeline
 
     def _resolve(self, query: Mapping[str, str]):

@@ -234,6 +234,8 @@ class UniverseStore:
         self._pack: UniversePack | None = None
         self._pack_unusable = False  # warned once; retry after invalidate
         self._fingerprint: str | None = None
+        #: The cells the fingerprint was computed from (set before it).
+        self._cells: frozenset[tuple[int, int]] | None = None
         self._overrides_doc: dict | None = None
         self._graph_cache: tuple[str, UniverseGraph] | None = None
 
@@ -405,8 +407,10 @@ class UniverseStore:
         ``pack``) invalidate it.
         """
         if self._fingerprint is None:
+            cells = self.built_cells()
+            self._cells = frozenset(cells)
             self._fingerprint = store_fingerprint(
-                self.built_cells(), self.read_overrides(), SCHEMA_VERSION
+                cells, self.read_overrides(), SCHEMA_VERSION
             )
         return self._fingerprint
 
@@ -417,6 +421,7 @@ class UniverseStore:
         self._pack = None
         self._pack_unusable = False
         self._fingerprint = None
+        self._cells = None
         self._overrides_doc = None
         self._graph_cache = None
 
@@ -440,11 +445,13 @@ class UniverseStore:
             store = cls(root, backend=backend)
             cls._READONLY[key] = store
         else:
+            cells = store.built_cells()
             fresh = store_fingerprint(
-                store.built_cells(), store.read_overrides(), SCHEMA_VERSION
+                cells, store.read_overrides(), SCHEMA_VERSION
             )
             if fresh != store._fingerprint:
                 store._invalidate_read_caches()
+                store._cells = frozenset(cells)
                 store._fingerprint = fresh
         return store
 
@@ -624,6 +631,17 @@ class UniverseStore:
             return self.read_scope()
         return str(self.root), fingerprint, backend
 
+    def cell_listed(self, n: int, m: int) -> bool | None:
+        """Whether ``(n, m)`` is one of the cells the fingerprint was
+        computed from; None until it is.  Reads no file."""
+        cells = self._cells
+        return None if cells is None else (n, m) in cells
+
+    def graph_loaded(self) -> bool:
+        """Whether :meth:`load_cached` would return without assembling."""
+        cached = self._graph_cache
+        return cached is not None and cached[0] == self._fingerprint
+
     # -- point lookups ---------------------------------------------------
 
     def node_at(
@@ -633,16 +651,18 @@ class UniverseStore:
 
         Returns None when the synonym class is outside the built
         rectangle; raises ``ValueError`` for infeasible parameters.
-        Close-open overrides are applied.  Warm lookups come out of the
-        process-wide hot-node LRU with no file read at all; a cold
-        lookup on the binary backend is one indexed SQLite row, while
-        the JSON path parses the containing cell once and primes every
-        node of it.
+        Close-open overrides are applied.  A task whose ``(n, m)`` is not
+        one of the store's cells, and a warm lookup (out of the
+        process-wide hot-node LRU), read no file at all; a cold lookup on
+        the binary backend is one indexed SQLite row, while the JSON path
+        parses the containing cell once and primes every node of it.
         """
         from .query import canonical_task_key
 
         key = canonical_task_key(n, m, low, high)
         prefix = (str(self.root), self.fingerprint())
+        if self.cell_listed(n, m) is False:
+            return None
         cache_key = prefix + key
         cached = HOT_CELLS.get(cache_key)
         if cached is not None:

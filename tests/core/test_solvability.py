@@ -26,6 +26,7 @@ from repro.core import (
     wsb_wait_free_solvable,
     x_bounded_homonymous_renaming,
 )
+from repro.core.solvability import explicit_binomial_gcd
 
 
 class TestTheorem9:
@@ -118,6 +119,32 @@ class TestTheorem10Condition:
     def test_gcd_empty_for_small_n(self):
         assert binomial_gcd(0) == 0
         assert binomial_gcd(1) == 0
+
+    def test_prime_power_gcd_equals_the_explicit_gcd(self):
+        for n in range(-2, 501):
+            assert binomial_gcd(n) == explicit_binomial_gcd(n), n
+
+    @pytest.mark.parametrize(
+        "n, gcd",
+        [
+            (2**61 - 1, 2**61 - 1),  # a Mersenne prime
+            (2**61, 2),
+            (3**40, 3),
+            (6**20, 1),
+            (2**64 - 59, 2**64 - 59),  # the largest prime below 2**64
+            (2**63 + 1, 1),
+            (2**64 - 1, 1),
+            (4294967291**2, 4294967291),  # the largest prime below 2**32
+            (4294967291 * 4294967279, 1),
+            (3215031751, 1),  # a strong pseudoprime to bases 2, 3, 5, 7
+        ],
+    )
+    def test_prime_power_gcd_on_large_n(self, n, gcd):
+        assert binomial_gcd(n) == gcd
+
+    def test_large_n_agrees_with_the_explicit_gcd_where_it_is_cheap(self):
+        for n in (2**11, 3**7, 2017, 2021, 4096 + 1, 1331, 2 * 1024):
+            assert binomial_gcd(n) == explicit_binomial_gcd(n), n
 
     def test_coprime_iff_not_prime_power(self):
         # Ram's theorem, checked over a wide range.

@@ -1,8 +1,13 @@
 """Tier behavior: closed forms, padding, reduction closure, empirical."""
 
+import random
+
 import pytest
 
 from repro.core import Solvability, classify_parameters
+from repro.core.bounds import GSBSpecificationError
+from repro.core.solvability import classify_parameters_certified
+from repro.decision.certificates import SOLVABLE_VALUES
 from repro.decision import (
     DecisionBudget,
     canonical_key,
@@ -64,6 +69,62 @@ class TestValuePadding:
         direct = value_padding(4, 5, 0, 1)
         assert canonical_key(4, 5, 0, 1) == (4, 5, 0, 1)
         assert direct.certificate.task == (4, 5, 0, 1)
+
+
+def full_padding_scan(n, m, low, high):
+    """Tier 2 as a scan of every sibling: the reference the candidate
+    scan must agree with, as ``(direction, m')`` or None."""
+    n, m, low_c, high_c = canonical_key(n, m, low, high)
+    if low_c != 0 or high_c < 1:
+        return None
+    for m2 in range(max(1, -(-n // high_c)), m):
+        verdict, _, payload = classify_parameters_certified(n, m2, 0, high_c)
+        if payload is not None and verdict.value in SOLVABLE_VALUES:
+            return "solvable-from-harder", m2
+    for m2 in range(m + 1, max(m + 1, 2 * n - 1)):
+        verdict, _, payload = classify_parameters_certified(n, m2, 0, high_c)
+        if payload is not None and verdict is Solvability.UNSOLVABLE:
+            return "unsolvable-from-weaker", m2
+    return None
+
+
+def padding_outcome(scan, *params):
+    try:
+        result = scan(*params)
+    except GSBSpecificationError as error:
+        return str(error)
+    if result is None or isinstance(result, tuple):
+        return result
+    return result.certificate.direction, result.certificate.witness[1]
+
+
+class TestPaddingCandidates:
+    def test_every_small_task_gets_the_full_scans_witness(self):
+        for n in range(-1, 17):
+            for m in range(-2, 2 * n + 3):
+                for low in range(-1, n + 2):
+                    for high in range(-1, n + 2):
+                        params = (n, m, low, high)
+                        assert padding_outcome(value_padding, *params) == (
+                            padding_outcome(full_padding_scan, *params)
+                        ), params
+
+    def test_large_n_ladders_get_the_full_scans_witness(self):
+        rng = random.Random(5)
+        for n in (127, 128, 243, 1000, 1024, 2187, 4096, 4097):
+            for _ in range(20):
+                high = rng.choice([1, 2, 3, rng.randint(1, n)])
+                m = rng.randint(-(-n // high), 2 * n)
+                assert padding_outcome(value_padding, n, m, 0, high) == (
+                    padding_outcome(full_padding_scan, n, m, 0, high)
+                ), (n, m, high)
+
+    def test_cost_does_not_grow_with_n(self):
+        # An open l* = 0 task at n = 10**9 has ~2 * 10**9 siblings.
+        assert value_padding(10**9, 3, 0, 6 * 10**8) is None
+        result = value_padding(2**40, 2**40 + 5, 0, 1)
+        assert result.solvability is Solvability.UNSOLVABLE
+        assert result.certificate.witness == (2**40, 2**41 - 2, 0, 1)
 
 
 class TestReductionClosure:

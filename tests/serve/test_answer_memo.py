@@ -196,7 +196,11 @@ class TestHits:
         assert cones.payload["key"] == plain.payload["canonical"]
 
     def test_hits_are_answered_on_the_event_loop(self, root):
-        with BackgroundServer(root, backend="binary") as server:
+        """A fresh store's scope is unsettled, so its first request takes
+        a handler thread, which settles it; then hits and misses alike
+        are answered on the loop."""
+        service = UniverseService(UniverseStore(root, backend="binary"))
+        with BackgroundServer(root, service=service) as server:
             threads = []
             handle = server.service.handle
 
@@ -207,8 +211,10 @@ class TestHits:
             server.service.handle = recording
             for _ in range(3):
                 assert server.get(DECIDE_TARGET)[0] == 200
+            assert server.get("/decide?n=7&m=2&low=0&high=7")[0] == 200
         assert threads[0].startswith("repro-serve-handler-")
-        assert threads[1:] == ["repro-serve", "repro-serve"]
+        assert threads[1:] == ["repro-serve"] * 3
+        assert ANSWERS.stats()["hits"] == 2
 
 
 class TestMetrics:
@@ -423,14 +429,14 @@ class TestRace:
             status, headers, first = server.get(DECIDE_TARGET)
             assert status == 200
             service = server.service
-            memo_holds = service.memo_holds
+            bounded = service.bounded
             threads, seen = [], []
 
             def evicting(method, path, query):
-                holds = memo_holds(method, path, query)
-                seen.append(holds)
+                inline = bounded(method, path, query)
+                seen.append(inline)
                 ANSWERS.clear()  # evicted between the check and handle()
-                return holds
+                return inline
 
             handle = service.handle
 
@@ -438,7 +444,7 @@ class TestRace:
                 threads.append(threading.current_thread().name)
                 return handle(*args, **kwargs)
 
-            service.memo_holds = evicting
+            service.bounded = evicting
             service.handle = recording
             status, again_headers, again = server.get(DECIDE_TARGET)
         assert seen == [True]

@@ -111,6 +111,25 @@ class TestWarmLookupIsParseFree:
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
 
+    @pytest.mark.parametrize("backend", ["binary", "json"])
+    def test_task_outside_the_cells_reads_no_file(self, root, backend):
+        """A task whose (n, m) is not a built cell is answered from the
+        cell list read with the fingerprint: no pack row, no shard, and
+        nothing cached as absent."""
+        store = UniverseStore.open_readonly(root, backend=backend)
+        assert store.node_at(6, 3, 1, 4) is not None  # pack opened, if any
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lookup outside the cells read the store")
+
+        store.has_cell = store.read_cell = store._read_or_heal = forbidden
+        if store._pack is not None:
+            store._pack._rows = forbidden
+        before = hot_cell_counters()
+        for key in ((25, 5, 1, 25), (6, 4, 0, 6), (7, 2, 0, 7)):
+            assert store.node_at(*key) is None
+        assert hot_cell_counters() == before
+
     def test_repeated_open_readonly_does_not_reload_graph(self, root):
         graph = UniverseStore.open_readonly(root).load_cached()
         again = UniverseStore.open_readonly(root)
