@@ -8,7 +8,6 @@ other protocol (each decides on its first scheduled step).
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from ..core.gsb import GSBTask
@@ -48,7 +47,7 @@ def homonymous_renaming_algorithm(x: int) -> Algorithm:
     """
     if x < 1:
         raise ValueError(f"x must be at least 1, got {x}")
-    return decision_only(lambda ctx: math.ceil(ctx.identity / x))
+    return decision_only(lambda ctx: -(-ctx.identity // x))
 
 
 def no_communication_algorithm(task: GSBTask) -> Algorithm:

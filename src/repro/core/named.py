@@ -12,8 +12,6 @@ named task, its place in the difficulty spectrum established in Section 5:
 
 from __future__ import annotations
 
-import math
-
 from .bounds import BoundVector, GSBSpecificationError
 from .gsb import GSBTask, SymmetricGSBTask
 
@@ -97,7 +95,7 @@ def x_bounded_homonymous_renaming(n: int, x: int) -> SymmetricGSBTask:
     """
     if x < 1:
         raise GSBSpecificationError(f"x must be at least 1, got {x}")
-    m = math.ceil((2 * n - 1) / x)
+    m = -(-(2 * n - 1) // x)
     return SymmetricGSBTask(n, m, 0, x, label=f"{x}-bounded-homonymous-renaming")
 
 
@@ -112,7 +110,7 @@ def hardest_task(n: int, m: int) -> SymmetricGSBTask:
             f"hardest task needs 1 <= m <= n, got m={m}, n={n}"
         )
     return SymmetricGSBTask(
-        n, m, n // m, math.ceil(n / m), label=f"hardest<{n},{m}>"
+        n, m, n // m, -(-n // m), label=f"hardest<{n},{m}>"
     )
 
 

@@ -10,7 +10,6 @@ Figure 1 draws the Hasse diagram of canonical ``<6, 3, -, ->`` tasks.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -62,7 +61,7 @@ def hardest_parameters(n: int, m: int) -> tuple[int, int]:
     """
     if n < 1 or m < 1:
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
-    return (n // m, math.ceil(n / m))
+    return (n // m, -(-n // m))
 
 
 def hardest(n: int, m: int) -> SymmetricGSBTask:

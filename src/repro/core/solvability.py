@@ -73,7 +73,7 @@ def _communication_free_symmetric(n: int, m: int, low: int, high: int) -> bool:
     """Theorem 9's symmetric closed form (bounds already clamped, n >= 1)."""
     if m == 1:
         return True
-    return low == 0 and high >= math.ceil((2 * n - 1) / m)
+    return low == 0 and high >= -(-(2 * n - 1) // m)
 
 
 def communication_free_decision_function(task: GSBTask) -> dict[int, int] | None:
@@ -187,7 +187,7 @@ def homonymous_decision_function(n: int, x: int) -> dict[int, int]:
     """
     if x < 1:
         raise ValueError(f"x must be at least 1, got {x}")
-    return {identity: math.ceil(identity / x) for identity in identity_space(n)}
+    return {identity: -(-identity // x) for identity in identity_space(n)}
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +453,7 @@ def classify_parameters_certified(
                 key,
                 Solvability.TRIVIAL,
                 "Theorem 9",
-                threshold=math.ceil((2 * n - 1) / m),
+                threshold=-(-(2 * n - 1) // m),
             ),
         )
     return _classify_symmetric_parameters(n, m, low, high)

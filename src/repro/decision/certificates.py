@@ -198,7 +198,7 @@ class TheoremCertificate(Certificate):
             expect(self.verdict_value == Solvability.TRIVIAL.value,
                    "verdict must be trivial")
             expect(_feasible(n, m, low, high), "task must be feasible")
-            threshold = math.ceil((2 * n - 1) / m)
+            threshold = -(-(2 * n - 1) // m)
             expect(params.get("threshold") == threshold,
                    f"threshold should be {threshold}")
             low_c, high_c = _clamped(n, low, high)
@@ -628,8 +628,8 @@ def replay_decision_map(
     (:mod:`repro.shm.compiled`): the decision-map protocol is traced into
     a step table once, and the engine counts decided vectors over its
     orbit quotient, so replaying every interleaving at n = 4 — the
-    default ``engine_replay_n`` — costs array copies and orbit-memo hits,
-    not generator replays.
+    default ``engine_replay_n`` — costs orbit-key transitions and
+    orbit-memo hits, not generator replays.
     """
     from ..shm.compiled import CompiledProtocol
     from ..shm.engine import PrefixSharingEngine

@@ -33,6 +33,14 @@ symmetry handling, applied to the runtime itself):
   small lists — **no generator replay** — and ``orbit_key()`` is one flat
   tuple instead of a recursive freeze walk.
 
+* :meth:`MachineState.transition` — the orbit quotient's successor
+  function.  An orbit key holds every field of a machine that its future
+  depends on, so the quotient's frames hold canonical orbit keys
+  (:class:`ValueCanonicalizer`) and one transition maps ``(key, pid)`` to
+  the successor key and the value ``pid`` decides there.  Machines serve
+  ``runs()``, the harness and the exploration's root; the quotient forks
+  and steps none.
+
 Semantics notes (all verified by the differential suite in
 ``tests/shm/test_compiled_differential.py``):
 
@@ -53,7 +61,7 @@ from __future__ import annotations
 from copy import deepcopy as _deepcopy
 from functools import partial
 from itertools import chain, filterfalse
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .ops import Invoke, Nop, Op, Read, Snapshot, Write, WriteCell
 from .oracles import GSBOracle, OracleUsageError
@@ -566,6 +574,15 @@ def _replaced(items: tuple, index: int, value: Any, pool: dict) -> tuple:
     return pool.setdefault(updated, updated)
 
 
+def _acquired_twice(
+    program: CompiledProtocol, pid: int, index: int
+) -> OracleUsageError:
+    return OracleUsageError(
+        f"process {pid} acquired twice from the "
+        f"{program.oracle_names[index]!r} oracle"
+    )
+
+
 def _clone_object(obj: Any) -> Any:
     clone = getattr(obj, "clone", None)
     if callable(clone):
@@ -596,19 +613,20 @@ class _MachineSchedulerState:
 class MachineState:
     """Array-backed runtime state over a :class:`CompiledProtocol`.
 
-    Drop-in for :class:`repro.shm.runtime.Runtime` wherever exploration
-    and the harness drive runs (``step``/``run``/``fork``/``result``/
-    ``enabled_pids``), with the two costs the compiled core exists to
-    remove:
+    Drop-in for :class:`repro.shm.runtime.Runtime` wherever
+    :meth:`~repro.shm.engine.PrefixSharingEngine.runs` and the harness
+    drive runs (``step``/``run``/``fork``/``result``/``enabled_pids``),
+    with the two costs the compiled core exists to remove:
 
     * ``fork()`` copies a few flat lists and shares the copy-on-write
       cell and acquired-mask tuples — O(state), zero generator work;
     * ``orbit_key()`` returns one flat tuple of program counters, the
-      cell tuple and the acquired-mask tuple.
+      cell tuple and the acquired-mask tuple, and :meth:`transition`
+      steps such keys without a machine.
 
     ``record_trace`` defaults to *False* (the opposite of ``Runtime``):
-    the exploration hot path neither needs nor wants per-fork trace
-    copies.  Harness paths that validate traces pass ``True``.
+    ``runs()`` neither needs nor wants per-fork trace copies.  Harness
+    paths that validate traces pass ``True``.
     """
 
     __slots__ = (
@@ -653,8 +671,9 @@ class MachineState:
         #: forks and orbit keys share it.
         self._cells = tuple(program.layout.initial_cells(arrays))
         #: Interning pool of the cell and acquired-mask tuples that writes
-        #: and acquires make, shared by every fork of this machine: equal
-        #: contents are one object across the whole exploration.
+        #: and acquires make, shared by every fork and :meth:`transition`
+        #: of this machine: equal contents are one object across the whole
+        #: exploration.
         self._tuples: dict[tuple, tuple] = {}
 
         objects = dict(objects or {})
@@ -728,10 +747,7 @@ class MachineState:
             mask = 1 << pid
             acquired = self._oracle_acquired
             if acquired[index] & mask:
-                raise OracleUsageError(
-                    f"process {pid} acquired twice from the "
-                    f"{program.oracle_names[index]!r} oracle"
-                )
+                raise _acquired_twice(program, pid, index)
             arrivals = self._oracle_arrivals[index]
             result = self._oracle_values[index][len(arrivals)]
             arrivals.append(pid)
@@ -835,7 +851,7 @@ class MachineState:
 
     # -- value-symmetry orbit quotient -----------------------------------
 
-    def orbit_key(self) -> tuple | None:
+    def orbit_key(self) -> tuple:
         """Orbit signature of this state, the engine's memo key.
 
         It is coarser than an exact key of the global state in two ways,
@@ -855,88 +871,103 @@ class MachineState:
         The key is one flat tuple ``(*pcs, cells, acquired)``: the ``n``
         program counters, then the machine's own cell and acquired-mask
         tuples (shared, not copied, so keys of states that no write
-        separates share one cells object).  With generic shared objects
-        their state keys follow as one more component.  Returns None when
-        such an object exposes no ``state_key``: the engine then leaves
-        this state out of its memo.
+        separates share one cells object).  It holds every field the
+        state's future depends on, unless the program has a generic shared
+        object: that object's state is not in the key, and the engine
+        counts such programs over their runs instead.
         """
-        if self._generic:
-            keys = []
-            for name in sorted(self._generic):
-                obj = self._generic[name]
-                if not hasattr(obj, "state_key"):
-                    return None
-                keys.append((name, obj.state_key()))
-            return (*self._pc, self._cells, self._oracle_acquired, tuple(keys))
         return (*self._pc, self._cells, self._oracle_acquired)
 
-    #: ``probe_step`` marker: the probed step does not decide its process.
-    STILL_RUNNING = object()
+    def transition(self) -> Callable[[tuple, int], tuple[tuple, Any]]:
+        """The successor function over this exploration's orbit keys.
 
-    def probe_step(self, pid: int) -> tuple[tuple, Any] | None:
-        """Orbit key of the state ``step(pid)`` would reach — without
-        forking or stepping.
-
-        Returns ``(orbit key, decided value)`` where the decided value
-        is :data:`STILL_RUNNING` when the step leaves ``pid`` undecided;
-        or None when the successor cannot be probed structurally (a
-        generic object, a deferred compile-time error or an oracle-misuse
-        step that must raise for real) and the caller should fork + step.
-        An edge the table has not traced yet is traced here, by the same
-        :meth:`CompiledProtocol.extend` call :meth:`step` would make, so
-        the table grows exactly as stepping would grow it.  The returned
-        key equals the successor's :meth:`orbit_key` — the quotient tests
-        pin that.
+        The returned ``successor(key, pid)`` takes an orbit key (see
+        :meth:`orbit_key`) and a pid that is live in it, and returns
+        ``(successor key, decided value)``: the key of the state
+        ``step(pid)`` reaches, and the value ``pid`` decides there (None
+        while it runs on).  It reads the key and the step table only, so
+        it needs no machine: it raises what :meth:`step` raises (a second
+        acquire, a deferred compile-time error), and an untraced edge is
+        traced by the :meth:`CompiledProtocol.extend` call a step would
+        make.  An oracle's next hand-out is its committed vector at the
+        popcount of its acquired mask, since each pid acquires once; this
+        machine's arrival lists must agree, and are checked here.
+        Successor keys share this machine's committed vectors and its
+        interning pool.  Generic shared objects have no transition: their
+        state is not in the key.
         """
         if self._generic:
-            return None
-        program = self.program
-        node = self._pc[pid]
-        if node < 0:
-            return None
-        entry = program.exec_table[node]
-        code = entry[0]
-        cells = self._cells
-        acquired = self._oracle_acquired
-        if code == _OP_WRITE:
-            result = None
-            if cells[entry[1]] != entry[2]:
-                # ``_replaced`` inlined: writes are most of the probes.
-                cells = list(cells)
-                cells[entry[1]] = entry[2]
-                cells = tuple(cells)
-                cells = self._tuples.setdefault(cells, cells)
-        elif code == _OP_SNAPSHOT:
-            result = cells[entry[1] : entry[2]]
-        elif code == _OP_READ:
-            result = cells[entry[1]]
-        elif code == _OP_INVOKE:
-            index = entry[1]
-            mask = 1 << pid
-            if acquired[index] & mask:
-                return None  # the real step raises OracleUsageError
-            result = self._oracle_values[index][
-                len(self._oracle_arrivals[index])
-            ]
-            acquired = _replaced(
-                acquired, index, acquired[index] | mask, self._tuples
+            raise ProtocolError(
+                f"shared objects {sorted(self._generic)} have no orbit-key "
+                "transition"
             )
-        elif code == _OP_NOP:
-            result = None
-        else:
-            return None  # generic / deferred-raise: take the real path
-        child = program.edges[node].get(result)
-        if child is None:
-            child = program.extend(node, result, result)
-        if program.ops[child] is None:
-            decided = program.decisions[child]
-            new_pc = DECIDED
-        else:
-            decided = MachineState.STILL_RUNNING
-            new_pc = child
-        pcs = list(self._pc)
-        pcs[pid] = new_pc
-        return (*pcs, cells, acquired), decided
+        program = self.program
+        for index, mask in enumerate(self._oracle_acquired):
+            if mask.bit_count() != len(self._oracle_arrivals[index]):
+                raise ProtocolError(
+                    f"the {program.oracle_names[index]!r} oracle's arrivals "
+                    "disagree with its acquired pids"
+                )
+        exec_table = program.exec_table
+        edges = program.edges
+        decisions = program.decisions
+        extend = program.extend
+        values = self._oracle_values
+        pool = self._tuples
+        intern = pool.setdefault
+        n = self.n
+
+        def successor(key: tuple, pid: int) -> tuple[tuple, Any]:
+            node = key[pid]
+            entry = exec_table[node]
+            code = entry[0]
+            cells = key[n]
+            updated = list(key)
+            if code == _OP_WRITE:
+                result = None
+                if cells[entry[1]] != entry[2]:
+                    # ``_replaced`` inlined: writes are most transitions.
+                    cells = list(cells)
+                    cells[entry[1]] = entry[2]
+                    cells = tuple(cells)
+                    updated[n] = intern(cells, cells)
+            elif code == _OP_SNAPSHOT:
+                result = cells[entry[1] : entry[2]]
+            elif code == _OP_READ:
+                result = cells[entry[1]]
+            elif code == _OP_INVOKE:
+                index = entry[1]
+                acquired = key[n + 1]
+                held = acquired[index]
+                if held >> pid & 1:
+                    raise _acquired_twice(program, pid, index)
+                result = values[index][held.bit_count()]
+                updated[n + 1] = _replaced(
+                    acquired, index, held | 1 << pid, pool
+                )
+            elif code == _OP_NOP:
+                result = None
+            else:  # _OP_RAISE: a deferred compile-time diagnosis
+                raise entry[1]
+            child = edges[node].get(result)
+            if child is None:
+                child = extend(node, result, result)
+            decided = decisions[child]
+            updated[pid] = child if decided is None else DECIDED
+            return tuple(updated), decided
+
+        return successor
+
+    def probe_step(self, pid: int) -> tuple[tuple, Any] | None:
+        """:meth:`transition` applied to this machine's :meth:`orbit_key`:
+        the orbit key and decided value ``step(pid)`` would produce,
+        without forking or stepping.  None when there is no successor to
+        predict: ``pid`` is decided or crashed, or a generic shared object
+        holds state the key does not.
+        """
+        if self._generic or self._pc[pid] < 0:
+            return None
+        return self.transition()(self.orbit_key(), pid)
 
     def result(self) -> RunResult:
         return RunResult(
@@ -969,14 +1000,14 @@ class Relabeling(dict):
     in first-occurrence order), built once per order.
 
     The dict itself is the inverse mapping (canonical value -> the
-    state's value).  Its members cache images under the mapping, filled
-    on first use: ``nodes`` maps a state's program counter and ``cells``
-    its whole cell tuple to canonical ones (so keys relabeled alike share
-    one cell tuple), ``to_canonical`` a suffix of decided values to its
-    canonical suffix, and ``to_state`` back.
+    state's value).  Its members cache images, filled on first use:
+    ``nodes`` maps a state's program counter and ``cells`` its whole cell
+    tuple to canonical ones (so keys relabeled alike share one cell
+    tuple), and ``to_state`` maps a canonical suffix of decided values
+    back into the state's labels.
     """
 
-    __slots__ = ("nodes", "cells", "to_canonical", "to_state")
+    __slots__ = ("nodes", "cells", "to_state")
 
 
 class ValueCanonicalizer:
@@ -1029,23 +1060,19 @@ class ValueCanonicalizer:
         self._tables = _Lazy(partial(_relabeling, program, relabel))
 
     def canonical(
-        self, key: tuple | None, values: tuple
-    ) -> tuple[tuple | None, Relabeling | None]:
+        self, key: tuple, values: tuple
+    ) -> tuple[tuple, Relabeling | None]:
         """``(canonical orbit key, inverse relabeling)`` for one raw key.
 
-        ``key`` is a :meth:`MachineState.orbit_key` (or the key
-        :meth:`MachineState.probe_step` predicts) and ``values`` the
-        exploration's committed oracle vector.  The number of values
-        handed out is the popcount of the acquired mask: each pid
-        acquires at most once.  The relabeling is None for the identity.
+        ``key`` is a :meth:`MachineState.orbit_key` (or a
+        :meth:`MachineState.transition` successor) of a program without
+        generic shared objects, and ``values`` the exploration's committed
+        oracle vector.  The number of values handed out is the popcount of
+        the acquired mask: each pid acquires at most once.  The relabeling
+        is None for the identity, and a canonical key is its own canonical
+        key under it.
         """
         n = self.program.n
-        if key is None or len(key) > n + 2:
-            # Generic shared objects are opaque to the relabeler: their
-            # state keys could embed oracle values this pass would have to
-            # rewrite.  Keep the unrelabeled orbit key (sound, merely
-            # coarser-free).
-            return key, None
         pcs = key[:n]
         cells = key[n]
         acquired = key[n + 1]
@@ -1117,9 +1144,6 @@ def _relabeling(
     table.nodes = _Lazy(lambda node: node if node < 0 else route(node))
     table.cells = _Lazy(
         lambda cells: tuple(map_cell(cell, mapping) for cell in cells)
-    )
-    table.to_canonical = _Lazy(
-        lambda suffix: tuple(map_output(v, mapping) for v in suffix)
     )
     table.to_state = _Lazy(
         lambda suffix: tuple(map_output(v, inverse) for v in suffix)

@@ -5,9 +5,10 @@ from scratch: exploring the schedule tree of an n-process protocol costs
 O(nodes x depth) full step re-executions, which caps exhaustive checking at
 n <= 3.  This engine turns exploration into a real search procedure:
 
-* **Prefix sharing** — the schedule tree is walked with ``fork``: at a
-  branching configuration the live state is snapshotted once per extra
-  branch instead of replaying the whole prefix per node.
+* **Prefix sharing** — :meth:`PrefixSharingEngine.runs` walks the schedule
+  tree with ``fork``: at a branching configuration the live state is
+  snapshotted once per extra branch instead of replaying the whole prefix
+  per node.
 
 * **Orbit memoization** — interleavings of independent operations commute
   into the same global state, and states that differ only in decided
@@ -29,11 +30,13 @@ n <= 3.  This engine turns exploration into a real search procedure:
   tasks across a range of system sizes, one exploration after another.
 
 Production exploration runs on the **compiled core**
-(:mod:`repro.shm.compiled`, :func:`make_spec_machine`): step tables plus
-array-backed :class:`~repro.shm.compiled.MachineState`, whose forks share
-copy-on-write tuples and whose orbit keys are flat tuples.
-:meth:`PrefixSharingEngine.decided_vectors` runs the orbit quotient on it.
-The generator :class:`~repro.shm.runtime.Runtime`
+(:mod:`repro.shm.compiled`, :func:`make_spec_machine`).
+:meth:`PrefixSharingEngine.decided_vectors` runs the orbit quotient on it:
+frames hold canonical orbit keys, and one transition
+(:meth:`~repro.shm.compiled.MachineState.transition`) steps them.
+Machines serve :meth:`PrefixSharingEngine.runs`, the harness and the
+exploration's root, and ``EngineStats.forks`` counts only what those paths
+fork.  The generator :class:`~repro.shm.runtime.Runtime`
 (:func:`make_spec_runtime`) is the reference semantics the tests compare
 against: on it the same method runs an exact DFS memoized by
 :meth:`Runtime.state_key <repro.shm.runtime.Runtime.state_key>`, and the
@@ -95,14 +98,14 @@ class EngineStats:
 
     nodes: int = 0  #: internal configurations expanded
     runs: int = 0  #: completed runs materialized (after memoization)
-    forks: int = 0  #: runtime snapshots taken
+    forks: int = 0  #: machine snapshots taken (the quotient takes none)
     memo_hits: int = 0  #: subtrees served from the state memo
     memo_entries: int = 0  #: distinct states memoized
     subsets_pruned: int = 0  #: participant subsets collapsed by symmetry
     peak_stack: int = 0  #: deepest DFS stack (memory high-water mark)
     orbits: int = 0  #: distinct value-symmetry orbits memoized
     orbit_hits: int = 0  #: subtrees served from the orbit memo
-    lex_pruned: int = 0  #: branches pruned by the pre-fork orbit probe
+    lex_pruned: int = 0  #: branches subsumed by an orbit explored earlier
 
     def to_json(self) -> dict:
         """Counter dict for the CLI's ``--json`` payloads."""
@@ -121,14 +124,14 @@ class EngineStats:
 
 
 class PrefixSharingEngine:
-    """Explore every interleaving of one system via fork-at-decision-point.
+    """Explore every interleaving of one system.
 
     Args:
         make_runtime: factory producing a fresh compiled
             :class:`~repro.shm.compiled.MachineState` or reference
             :class:`Runtime`; called once per exploration (the engine
-            forks from it, it is *not* re-invoked per prefix).  The
-            runtime's scheduler is ignored.
+            forks or steps keys from it, it is *not* re-invoked per
+            prefix).  The runtime's scheduler is ignored.
         participants: pids allowed to take steps (others crash before
             their first step); defaults to all processes.
         max_runs: raise :class:`ExplorationBudgetExceeded` beyond this many
@@ -176,7 +179,7 @@ class PrefixSharingEngine:
         produced = 0
         root = self._make()
         allowed = self._allowed(root)
-        self._check_depth(root)
+        self._check_depth(root.step_count)
         enabled = self._enabled(root, allowed)
         if not enabled:
             self.stats.runs += 1
@@ -199,7 +202,7 @@ class PrefixSharingEngine:
                 child = runtime.fork()
                 self.stats.forks += 1
             child.step(branches[index])
-            self._check_depth(child)
+            self._check_depth(child.step_count)
             child_enabled = self._enabled(child, allowed)
             if not child_enabled:
                 produced += 1
@@ -230,26 +233,32 @@ class PrefixSharingEngine:
         preserved because the memoized counter is *added* once per arrival
         path.
 
-        The runtime picks the DFS.  A compiled machine (one that exposes
-        ``probe_step``) runs the orbit quotient: the memo is a table over
-        value-symmetry **orbits** (:meth:`MachineState.orbit_key
-        <repro.shm.compiled.MachineState.orbit_key>`), entries store
-        suffix counters over the frame's undecided positions, and each
-        child is probed before it is forked, so a memo hit costs neither
-        a fork nor a step.  A generator :class:`Runtime`, the reference
-        the differential suites compare against, runs an exact DFS
-        memoized by :meth:`Runtime.state_key`.
+        The runtime picks the DFS.  A compiled machine runs the orbit
+        quotient (:meth:`_decided_vectors_quotient`): the memo is a table
+        over value-symmetry **orbits** (:meth:`MachineState.orbit_key
+        <repro.shm.compiled.MachineState.orbit_key>`), and frames hold
+        canonical orbit keys, which one transition steps.  A compiled
+        program with a shared object other than a GSB oracle keeps that
+        object's state outside the key, so it is counted over
+        :meth:`runs`.  A generator :class:`Runtime`, the reference the
+        differential suites compare against, runs an exact DFS memoized by
+        :meth:`Runtime.state_key`.
         """
         root = self._make()
-        if hasattr(root, "probe_step"):
-            return self._decided_vectors_quotient(root)
-        return self._decided_vectors_exact(root)
+        if not hasattr(root, "transition"):
+            return self._decided_vectors_exact(root)
+        if root.program.generic_names:
+            return Counter(
+                tuple(freeze_value(v) for v in run.outputs)
+                for run in self.runs()
+            )
+        return self._decided_vectors_quotient(root)
 
     def _decided_vectors_exact(self, root: Runtime) -> Counter:
         produced = 0
         memo: dict[Any, Counter] = {}
         allowed = self._allowed(root)
-        self._check_depth(root)
+        self._check_depth(root.step_count)
 
         def leaf(runtime: Runtime) -> Counter:
             nonlocal produced
@@ -308,7 +317,7 @@ class PrefixSharingEngine:
                 child = runtime.fork()
                 self.stats.forks += 1
             child.step(branches[index])
-            self._check_depth(child)
+            self._check_depth(child.step_count)
             child_enabled = self._enabled(child, allowed)
             if not child_enabled:
                 propagate(leaf(child))
@@ -322,33 +331,39 @@ class PrefixSharingEngine:
     def _decided_vectors_quotient(self, root) -> Counter:
         """Orbit-quotient DFS from ``root`` (see :meth:`decided_vectors`).
 
-        One path per child, for pinned and interchangeable specs alike:
-        probe its orbit key
-        (:meth:`~repro.shm.compiled.MachineState.probe_step`),
-        canonicalize the key when the spec declares a relabeler
-        (:class:`~repro.shm.compiled.ValueCanonicalizer`), and look it
-        up.  A hit before the fork counts as ``lex_pruned``: the
-        branch is subsumed by the orbit representative explored earlier in
-        the engine's lexicographic order.  Only a miss, or an edge the
-        probe cannot resolve, is forked and stepped.
+        Frames hold canonical orbit keys, not machines.  ``root`` gives
+        the first key and the transition
+        (:meth:`~repro.shm.compiled.MachineState.transition`); a child is
+        the transition of its frame's key under one undecided pid, so the
+        loop forks and steps nothing.  A child's positions are its
+        parent's, minus the pid when that pid decides; its depth is the
+        stack height.
+
+        Each successor key is looked up raw first: memo keys are
+        canonical and canonicalization is idempotent, so a raw key the
+        memo holds is its own representative.  Otherwise it is
+        canonicalized when the spec declares a relabeler
+        (:class:`~repro.shm.compiled.ValueCanonicalizer`) and looked up
+        again.  Every hit counts as ``lex_pruned``: the branch is subsumed
+        by the orbit representative explored earlier in the engine's
+        lexicographic order.  A miss is pushed as its canonical key.
 
         Accumulators are in suffix form: a frame counts suffix tuples over
-        its own undecided (enabled ∩ allowed) positions, in its machine's
-        labels.  A child's counter joins its parent's unchanged, or with
-        the stepping pid's decided value inserted at that pid's index; a
-        memo hit first maps the canonical suffixes back through the
-        inverse relabeling.  At frame close the accumulator's
-        ``(suffix, count)`` items become the memo entry, one tuple,
-        forward-mapped only when the frame was relabeled.  Entries are
-        interned by value for the life of the exploration, so orbits with
-        equal outcomes share one tuple.  Full output vectors are built
-        once, at the root.
+        its own undecided (enabled ∩ allowed) positions, in its key's
+        canonical labels.  A closing frame's ``(suffix, count)`` items
+        become its memo entry, one tuple, interned by value for the life
+        of the exploration, so orbits with equal outcomes share one tuple.
+        The entry joins the parent's accumulator exactly as a hit does:
+        mapped back through the child's relabeling, with the stepping
+        pid's decided value inserted at that pid's index.  Full output
+        vectors are built once, at the root.
         """
-        memo: dict[Any, tuple] = {}
+        memo: dict[tuple, tuple] = {}
         lookup = memo.get
         intern = {}.setdefault
         allowed = self._allowed(root)
-        self._check_depth(root)
+        self._check_depth(root.step_count)
+        successor = root.transition()
 
         relabeler = self.relabeler
         canonical = values = None
@@ -368,30 +383,20 @@ class PrefixSharingEngine:
                 )
             canonical = canon.canonical
             values = root._oracle_values[canon._oracle]
-        still = type(root).STILL_RUNNING
         max_runs = self.max_runs
-        max_depth = self.max_depth
-        # With the full participant set (the common case) the per-node
-        # allowed-filter over enabled pids is a no-op: skip it.
-        full_set = len(allowed) == root.n
+        # A child of the top frame is ``len(stack)`` steps below the root.
+        limit = self.max_depth - root.step_count
 
         # Hot-loop counters stay locals; folded into stats in `finally`.
-        nodes_l = runs_l = forks_l = hits_l = entries_l = 0
-        orbits_l = lex_l = peak_l = 0
-
-        def canonize(key):
-            """The memo key and relabeling of a raw orbit key."""
-            if canonical is None:
-                return key, None
-            return canonical(key, values)
+        nodes_l = runs_l = hits_l = orbits_l = peak_l = 0
 
         # Accumulators are plain dicts, not Counters: Counter.__iadd__
         # rescans the whole accumulator for positivity on every merge,
         # which dominates the hot loop (counts here are never negative).
         def join(acc, pairs, table, at, decided) -> None:
             """Add a child's ``(suffix, count)`` pairs into its parent's
-            ``acc``; ``table`` relabels a canonical memo entry into the
-            child's labels first."""
+            ``acc``; ``table`` relabels them into the parent's labels
+            first."""
             if table is not None:
                 to_state = table.to_state.__getitem__
                 pairs = [(to_state(suffix), count) for suffix, count in pairs]
@@ -412,8 +417,8 @@ class PrefixSharingEngine:
                 )
             runs_l += 1
 
-        # Frames: [machine, positions, index, acc, key, relabeling,
-        # index in the parent, decided value (None: still running)].
+        # Frames: [key, positions, index, acc, relabeling, index in the
+        # parent, decided value (None: still running)].
         stack: list[list[Any]] = []
         total: dict = {}
         try:
@@ -423,93 +428,56 @@ class PrefixSharingEngine:
                 leaf()
                 total[()] = 1
             else:
-                key, table = canonize(root.orbit_key())
-                entry = lookup(key)
-                if entry is not None:
-                    hits_l += 1
-                    join(total, entry, table, 0, None)
-                else:
-                    nodes_l = peak_l = 1
-                    stack.append(
-                        [root, positions, 0, total, key, table, 0, None]
-                    )
+                key, table = root.orbit_key(), None
+                if canonical is not None:
+                    key, table = canonical(key, values)
+                nodes_l = peak_l = 1
+                stack.append([key, positions, 0, {}, table, 0, None])
             while stack:
                 frame = stack[-1]
                 branches = frame[1]
                 index = frame[2]
                 if index == len(branches):
                     stack.pop()
-                    acc = frame[3]
-                    key = frame[4]
-                    if key is not None:
-                        table = frame[5]
-                        if table is None:
-                            entry = tuple(acc.items())
-                        else:
-                            entry = tuple(
-                                zip(map(table.to_canonical.__getitem__, acc),
-                                    acc.values())
-                            )
-                        memo[key] = intern(entry, entry)
-                        entries_l += 1
-                        orbits_l += 1
-                    if stack:
-                        join(stack[-1][3], acc.items(), None, frame[6],
-                             frame[7])
+                    entry = tuple(frame[3].items())
+                    memo[frame[0]] = entry = intern(entry, entry)
+                    orbits_l += 1
+                    join(stack[-1][3] if stack else total, entry, frame[4],
+                         frame[5], frame[6])
                     continue
                 frame[2] = index + 1
-                machine = frame[0]
                 pid = branches[index]
-                probed = machine.probe_step(pid)
-                if probed is not None:
-                    # The hottest call site: skip ``canonize`` when the
-                    # spec has no relabeler.
-                    if canonical is None:
-                        key = probed[0]
-                        table = None
-                    else:
-                        key, table = canonical(probed[0], values)
-                    decided = None if probed[1] is still else probed[1]
-                    entry = lookup(key)
-                    if entry is not None:
-                        hits_l += 1
-                        lex_l += 1
-                        join(frame[3], entry, table, index, decided)
-                        continue
-                if index + 1 == len(branches):
-                    child = machine
-                else:
-                    child = machine.fork()
-                    forks_l += 1
-                child.step(pid)
-                if child.step_count > max_depth:
-                    self._check_depth(child)
-                decided = child.outputs[pid]  # None while pid runs on
-                if full_set:
-                    child_enabled = child.enabled_pids()
-                else:
-                    child_enabled = [
-                        p for p in child.enabled_pids() if p in allowed
-                    ]
-                if not child_enabled:
+                key, decided = successor(frame[0], pid)
+                if decided is None:
+                    child_branches = branches
+                elif len(branches) == 1:
                     # ``pid`` was this frame's last undecided position,
-                    # and it has just decided.
+                    # and it has just decided.  No lookup: a memo key has
+                    # an undecided position, since it was a frame's.
+                    if len(stack) > limit:
+                        self._check_depth(root.step_count + len(stack))
                     leaf()
                     acc = frame[3]
                     suffix = (decided,)
                     acc[suffix] = acc.get(suffix, 0) + 1
                     continue
-                if probed is None:
-                    key, table = canonize(child.orbit_key())
-                    entry = lookup(key)
-                    if entry is not None:
-                        hits_l += 1
-                        join(frame[3], entry, table, index, decided)
-                        continue
+                else:
+                    child_branches = branches[:index] + branches[index + 1:]
+                table = None
+                entry = lookup(key)
+                if entry is None and canonical is not None:
+                    key, table = canonical(key, values)
+                    if table is not None:
+                        entry = lookup(key)
+                if entry is not None:
+                    hits_l += 1
+                    join(frame[3], entry, table, index, decided)
+                    continue
+                if len(stack) > limit:
+                    self._check_depth(root.step_count + len(stack))
                 nodes_l += 1
                 stack.append(
-                    [child, tuple(child_enabled), 0, {}, key, table,
-                     index, decided]
+                    [key, child_branches, 0, {}, table, index, decided]
                 )
                 if len(stack) > peak_l:
                     peak_l = len(stack)
@@ -523,17 +491,16 @@ class PrefixSharingEngine:
             stats = self.stats
             stats.nodes += nodes_l
             stats.runs += runs_l
-            stats.forks += forks_l
             stats.memo_hits += hits_l
-            stats.memo_entries += entries_l
+            stats.memo_entries += orbits_l
             stats.orbits += orbits_l
             stats.orbit_hits += hits_l
-            stats.lex_pruned += lex_l
+            stats.lex_pruned += hits_l
             stats.peak_stack = max(stats.peak_stack, peak_l)
             _ORBIT_TOTALS["explorations"] += 1
             _ORBIT_TOTALS["orbits"] += orbits_l
             _ORBIT_TOTALS["orbit_hits"] += hits_l
-            _ORBIT_TOTALS["lex_pruned"] += lex_l
+            _ORBIT_TOTALS["lex_pruned"] += hits_l
 
     # ------------------------------------------------------------------
 
@@ -545,8 +512,8 @@ class PrefixSharingEngine:
     def _enabled(self, runtime: Runtime, allowed: frozenset[int]) -> list[int]:
         return [pid for pid in runtime.enabled_pids() if pid in allowed]
 
-    def _check_depth(self, runtime: Runtime) -> None:
-        if runtime.step_count > self.max_depth:
+    def _check_depth(self, steps: int) -> None:
+        if steps > self.max_depth:
             raise ExplorationBudgetExceeded(
                 f"run prefix exceeded {self.max_depth} steps; "
                 "non-terminating protocol?"

@@ -13,6 +13,7 @@ from repro.core import (
     binomials_coprime,
     brute_force_communication_free,
     classify,
+    classify_parameters,
     communication_free_decision_function,
     decision_function_is_valid,
     election,
@@ -86,6 +87,16 @@ class TestTheorem9:
 
     def test_infeasible_not_solvable(self):
         assert not is_communication_free_solvable(SymmetricGSBTask(6, 3, 3, 3))
+
+    def test_threshold_is_exact_past_float_precision(self):
+        # (2n-1)/m in floats rounds to 1.0 here, so a float ceiling makes
+        # (2n-2)-renaming look communication-free; the exact threshold is 2.
+        n, m = 2**61, 2**62 - 2
+        assert classify_parameters(n, m, 0, 1) == (
+            Solvability.UNSOLVABLE,
+            "(2n-2)-renaming with non-coprime binomials [17]",
+        )
+        assert x_bounded_homonymous_renaming(n, m).m == 2
 
 
 class TestCorollary2:

@@ -35,6 +35,18 @@ class TestTierOrder:
         with pytest.raises(GSBSpecificationError):
             decide(0, 3, 0, 2)
 
+    def test_theorem9_threshold_past_float_precision(self):
+        # The fallback configuration the server decides on its event loop.
+        # The certificate is not checked: its re-derivation computes every
+        # C(n, i) at n = 2**61.
+        pipeline = DecisionPipeline(
+            budget=DecisionBudget(max_empirical_n=0), cache=None
+        )
+        verdict = pipeline.decide(2**61, 2**62 - 2, 0, 1)
+        assert verdict.solvability is Solvability.UNSOLVABLE
+        assert verdict.tier == 1
+        assert verdict.certificate.rule == "renaming-2n2-unsolvable"
+
 
 class TestCache:
     def test_warm_decide_is_a_cache_hit(self, tmp_path):

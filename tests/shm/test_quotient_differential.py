@@ -10,12 +10,19 @@ reference semantics, so this suite pins:
 * **multiset identity** — for every registry spec at n <= 3, the
   quotiented decided-vector Counter is byte-identical to the generator
   reference, memoized and run by run (serial and subset-profile paths);
-* **probe fidelity** — :meth:`MachineState.probe_step`'s predicted orbit
-  key and decided value match a real fork + step at every reachable
-  state of a bounded walk;
+* **transition fidelity** — the quotient steps orbit keys, not machines:
+  :meth:`MachineState.transition` of a state's orbit key matches a real
+  fork + step, key and decided value, at every reachable state, and so
+  does its machine-side wrapper :meth:`MachineState.probe_step` along a
+  bounded walk;
 * **canonical idempotence** — :class:`ValueCanonicalizer` output is a
   fixpoint: the free values of a canonical key already appear in
-  ascending first-occurrence order, so a second pass is the identity;
+  ascending first-occurrence order, so a second pass is the identity.
+  Every memo key is canonical, which is what lets the quotient look a
+  raw successor key up before canonicalizing it;
+* **error parity** — the quotient raises what :meth:`MachineState.step`
+  raises, and counts programs with generic shared objects over their
+  runs;
 * **stats plumbing** — orbit counters surface in
   :class:`~repro.shm.engine.EngineStats`.
 """
@@ -25,14 +32,28 @@ from collections import Counter
 
 import pytest
 
+from repro.core.named import k_slot
 from repro.shm import (
+    CompiledProtocol,
+    ExplorationBudgetExceeded,
+    GSBOracle,
+    Invoke,
+    Nop,
+    OracleUsageError,
     PrefixSharingEngine,
+    Read,
+    RegisterPermissionError,
+    RoundRobinScheduler,
+    Runtime,
+    Snapshot,
+    Write,
+    WriteCell,
     available_specs,
     get_spec,
     make_spec_machine,
     make_spec_runtime,
 )
-from repro.shm.compiled import ValueCanonicalizer
+from repro.shm.compiled import MachineState, ValueCanonicalizer
 from repro.shm.engine import EngineStats, explore_decided_subsets
 from repro.shm.runtime import freeze_value
 
@@ -165,31 +186,69 @@ def walk_states(make_machine, limit=400):
             stack.append(child)
 
 
+def reachable_states(make_machine):
+    """Every distinct state reachable from ``make_machine()``, deduplicated
+    by :func:`exact_key` (equal exact keys have equal futures)."""
+    root = make_machine()
+    seen = {exact_key(root)}
+    stack = [root]
+    while stack:
+        machine = stack.pop()
+        yield machine
+        for pid in machine.enabled_pids():
+            child = machine.fork()
+            child.step(pid)
+            key = exact_key(child)
+            if key not in seen:
+                seen.add(key)
+                stack.append(child)
+
+
+class TestTransitionFidelity:
+    @pytest.mark.parametrize("frame_nodes", [True, False])
+    @pytest.mark.parametrize("name,n", CASES)
+    def test_transition_matches_real_step(self, name, n, frame_nodes):
+        make_machine = make_spec_machine(
+            get_spec(name), n, frame_nodes=frame_nodes
+        )
+        successor = make_machine().transition()
+        checked = 0
+        for machine in reachable_states(make_machine):
+            key = machine.orbit_key()
+            for pid in machine.enabled_pids():
+                child = machine.fork()
+                child.step(pid)
+                decided = child.outputs[pid] if child._pc[pid] < 0 else None
+                assert successor(key, pid) == (child.orbit_key(), decided), (
+                    name, n, pid,
+                )
+                checked += 1
+        assert checked > 0
+
+
 class TestProbeFidelity:
     @pytest.mark.parametrize("name,n", CASES)
     def test_probe_key_matches_real_step(self, name, n):
         make_machine = make_spec_machine(get_spec(name), n, frame_nodes=True)
-        still = type(make_machine()).STILL_RUNNING
-        # Warm-up walk: the checked walk below then probes a traced
-        # table, as every exploration after the first does.
-        for machine in walk_states(make_machine):
-            pass
         checked = 0
         for machine in walk_states(make_machine):
             for pid in machine.enabled_pids():
                 probed = machine.probe_step(pid)
                 child = machine.fork()
                 child.step(pid)
-                if probed is None:
-                    continue  # generic / deferred raise: real path required
                 key, decided = probed
                 assert key == child.orbit_key(), (name, n, pid)
-                if decided is still:
+                if decided is None:
                     assert child._pc[pid] >= 0
                 else:
                     assert child.outputs[pid] == decided
                 checked += 1
         assert checked > 0
+
+    def test_probe_step_has_no_successor_for_a_decided_pid(self):
+        machine = make_spec_machine(get_spec("wsb"), 2)()
+        machine.step(0)  # wsb decides in one step
+        assert machine.probe_step(0) is None
 
 
 def canonical(canon, machine):
@@ -281,6 +340,41 @@ class TestCanonicalIdempotence:
                 collapsed += 1
         assert collapsed > 0, "no two raw orbits shared a canonical key"
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_memo_keys_are_canonical(self, n, monkeypatch):
+        # The quotient looks a raw successor key up before canonicalizing
+        # it, which is sound only if every key the memo holds is its own
+        # canonical key under the identity.  Every frame's key reaches
+        # the transition and becomes a memo entry when the frame closes,
+        # so the keys the transition sees are the memo's keys.
+        frame_keys = set()
+        transition = MachineState.transition
+
+        def recording(machine):
+            successor = transition(machine)
+
+            def record(key, pid):
+                frame_keys.add(key)
+                return successor(key, pid)
+
+            return record
+
+        monkeypatch.setattr(MachineState, "transition", recording)
+        spec = get_spec("renaming")
+        make_machine = make_spec_machine(spec, n, frame_nodes=True)
+        stats = EngineStats()
+        PrefixSharingEngine(
+            make_machine, stats=stats, relabeler=spec.value_relabel
+        ).decided_vectors()
+        assert len(frame_keys) == stats.orbits
+
+        # A fresh canonicalizer over the same step table: no cached image
+        # of the exploration's own canonicalizer stands in for the check.
+        canon = ValueCanonicalizer(make_machine.program, spec.value_relabel)
+        values = make_machine()._oracle_values[canon._oracle]
+        for key in frame_keys:
+            assert canon.canonical(key, values) == (key, None)
+
 
 def exact_key(machine):
     """The exact global state of a machine: program counters, decided
@@ -331,3 +425,143 @@ class TestOrbitKeyCoarseness:
                 merged += 1
                 assert machine.orbit_key() == known_key
         assert merged > 0, "walk met no states differing in arrival order"
+
+
+def greedy(ctx):
+    first = yield Invoke("KS", GSBOracle.ACQUIRE)
+    second = yield Invoke("KS", GSBOracle.ACQUIRE)
+    return first + second
+
+
+def peeker(ctx):
+    value = yield Invoke("KS", "peek")
+    return value
+
+
+def lost(ctx):
+    yield Write("NOPE", 1)
+    return 1
+
+
+def off_by_one(ctx):
+    value = yield Read("A", 9)
+    return value
+
+
+def trespasser(ctx):
+    yield WriteCell("A", 1 - ctx.pid, ctx.identity)
+    return 1
+
+
+def spinner(ctx):
+    while True:
+        yield Nop()
+
+
+def slot_system():
+    return {"A": None}, {"KS": GSBOracle(k_slot(2, 1), seed=0)}
+
+
+def compiled_factory(algorithm, frame_nodes, system=slot_system, n=2):
+    arrays, objects = system()
+    program = CompiledProtocol(
+        algorithm, range(1, n + 1), arrays=arrays, objects=objects,
+        frame_nodes=frame_nodes,
+    )
+
+    def make_machine():
+        arrays, objects = system()
+        return program.machine(arrays=arrays, objects=objects)
+
+    return make_machine
+
+
+class TestErrorParity:
+    """The quotient forks and steps no machine, so its transition must
+    raise what :meth:`MachineState.step` raises, message and all."""
+
+    @pytest.mark.parametrize("frame_nodes", [True, False])
+    @pytest.mark.parametrize(
+        "algorithm,error,message",
+        [
+            (greedy, OracleUsageError, "acquired twice"),
+            (peeker, OracleUsageError, "supports only 'acquire'"),
+            (lost, KeyError, "no shared array named 'NOPE'"),
+            (off_by_one, IndexError, "cells 0..1"),
+            (trespasser, RegisterPermissionError, "single-writer"),
+        ],
+    )
+    def test_quotient_raises_what_step_raises(
+        self, algorithm, error, message, frame_nodes
+    ):
+        make_machine = compiled_factory(algorithm, frame_nodes)
+        # The DFS steps pid 0 first, and keeps stepping it until it fails.
+        machine = make_machine()
+        with pytest.raises(error, match=message) as stepped:
+            while True:
+                machine.step(0)
+        with pytest.raises(error) as explored:
+            PrefixSharingEngine(make_machine).decided_vectors()
+        assert str(explored.value) == str(stepped.value)
+
+    @pytest.mark.parametrize("frame_nodes", [True, False])
+    def test_depth_guard(self, frame_nodes):
+        # With frame nodes the spinner's state repeats: its key is open on
+        # the stack, not yet in the memo, so only the depth guard stops it.
+        make_machine = compiled_factory(spinner, frame_nodes)
+        engine = PrefixSharingEngine(make_machine, max_depth=20)
+        with pytest.raises(ExplorationBudgetExceeded, match="non-terminating"):
+            engine.decided_vectors()
+        # Frames hold the states 0..20 steps deep; step 21 raises.
+        assert engine.stats.peak_stack == 21
+
+
+class Ticket:
+    """A generic shared object: a fetch-and-increment counter."""
+
+    def __init__(self, issued=0):
+        self.issued = issued
+
+    def invoke(self, pid, method, args):
+        self.issued += 1
+        return self.issued
+
+    def clone(self):
+        return Ticket(self.issued)
+
+    def state_key(self):
+        return self.issued
+
+
+def ticket_holder(ctx):
+    ticket = yield Invoke("T", "take")
+    yield Write("A", ticket)
+    view = yield Snapshot("A")
+    return 1 + sum(v is not None and v < ticket for v in view)
+
+
+class TestGenericObjects:
+    @pytest.mark.parametrize("participants", [None, (0, 2)])
+    def test_counted_over_runs_like_the_reference(self, participants):
+        def system():
+            return {"A": None}, {"T": Ticket()}
+
+        def make_runtime():
+            arrays, objects = system()
+            return Runtime(
+                ticket_holder, [1, 2, 3], RoundRobinScheduler(),
+                arrays=arrays, objects=objects,
+            )
+
+        reference = PrefixSharingEngine(
+            make_runtime, participants=participants
+        ).decided_vectors()
+        stats = EngineStats()
+        compiled = PrefixSharingEngine(
+            compiled_factory(ticket_holder, True, system, n=3),
+            participants=participants,
+            stats=stats,
+        ).decided_vectors()
+        assert compiled == reference
+        assert stats.runs == sum(reference.values())
+        assert stats.orbits == 0  # no orbit key models the ticket

@@ -362,7 +362,7 @@ class TestExploreCommand:
         assert row["name"] == "wsb" and row["n"] == 2
         assert row["runs"] == 2 and row["violations"] == 0
         assert row["seconds"] > 0  # per-job timing
-        assert row["stats"]["forks"] >= 1  # engine stats in the payload
+        assert row["stats"]["nodes"] >= 1  # engine stats in the payload
 
     def test_explore_json_file(self, capsys, tmp_path):
         path = tmp_path / "explore.json"
