@@ -27,8 +27,8 @@ the same :meth:`UniverseService.handle` (so metrics, the answer memo and
 the ``304`` rule do not change): ``/healthz``, and a request whose
 routing is bounded work that never waits
 (:meth:`UniverseService.bounded`: a GET, while no fault point is armed,
-to ``/decide`` below n = 2**64 or to a graph query once the graph is
-loaded; each endpoint's bound is given there).  That costs less than
+to ``/decide`` or to a graph query once the graph is loaded; each
+endpoint's bound is given there).  That costs less than
 the hand-off, and it cannot be held: every request goes to the threads
 while a fault point is armed.  Like ``/healthz`` such a request takes no
 in-flight slot, has no deadline and is never shed, but it counts toward

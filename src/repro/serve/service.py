@@ -365,13 +365,14 @@ class UniverseService:
         to hold any request) and once the store's scope is settled
         (settling it opens the pack and lists the cells), to:
 
-        * ``/decide`` with n < 2**64: a hot-LRU hit, one pack row or one
-          shard, else the structural fallback, whose closed forms cost
-          microseconds below 2**64 (:func:`~repro.core.solvability.
-          binomial_gcd`) and whose padding scan classifies a few
-          siblings whatever n is; not for ``n <= graph_max_n`` outside
-          the store's cells, where the fallback assembles the task's
-          family row (seconds), nor for unparsed n;
+        * ``/decide``: a hot-LRU hit, one pack row or one shard, else
+          the structural fallback, whose closed forms cost microseconds
+          below 2**64 (:func:`~repro.core.solvability.binomial_gcd`) and
+          whose padding scan classifies a few siblings whatever n is,
+          or a 400 (unparsed parameters; n >= 2**64 past the store,
+          refused before the fallback); not for ``n <= graph_max_n``
+          outside the store's cells, where the fallback assembles the
+          task's family row (seconds);
         * ``/cones``, ``/reduction-path`` and ``/frontier`` once the
           graph is assembled under the scope: one search of the loaded
           graph (on the 40x6 store, at most about a millisecond).
@@ -392,8 +393,9 @@ class UniverseService:
                 n, m = int(query["n"]), int(query["m"])
             except (KeyError, ValueError):
                 return True  # a 400: nothing is routed
-            return n < PRIME_POWER_GCD_BOUND and (
-                n > FALLBACK_BUDGET.graph_max_n or store.cell_listed(n, m) is True
+            return (
+                n > FALLBACK_BUDGET.graph_max_n
+                or store.cell_listed(n, m) is True
             )
         return endpoint in ("cones", "reduction-path", "frontier") and (
             store.graph_loaded()
@@ -495,6 +497,13 @@ class UniverseService:
             basis = node.certificate_id or self.store.fingerprint()
             etag = _etag("decide", basis, str(node.key), node.solvability)
             return Response(200, payload, etag=etag)
+        if n >= PRIME_POWER_GCD_BOUND:
+            # Theorem 10's gcd has no closed form proven here: computing
+            # it from every binomial would hold the thread for good.
+            raise _BadRequest(
+                f"n={n} is past the store and at or above the fallback's "
+                f"bound 2**64 = {PRIME_POWER_GCD_BOUND}"
+            )
         verdict = self._fallback_pipeline().decide(n, m, low, high)
         payload = {
             "task": [n, m, low, high],

@@ -1,4 +1,4 @@
-"""The compiled protocol core: step tables + array-backed machine states.
+"""The compiled protocol core: step tables + orbit-key machine states.
 
 The generator runtime (:mod:`repro.shm.runtime`) is the *reference
 semantics* of the model: algorithms are Python generators, a fork rebuilds
@@ -22,24 +22,24 @@ symmetry handling, applied to the runtime itself):
   on demand — each distinct local state costs one generator replay ever,
   after which every run, fork and exploration that reaches it pays a dict
   lookup.  A replay whose emitted operations diverge from the recorded
-  table is rejected with a clear :class:`ProtocolError`.
+  table is rejected with a clear :class:`ProtocolError`.  Shared objects
+  are GSB oracles only; the generator runtime explores any other.
 
-* :class:`MachineState` — the array-backed runtime state: per-pid program
+* :meth:`MachineState.transition` — the one step of the model.  A state
+  is an **orbit key** ``(*pcs, cells, acquired)``: per-pid program
   counters into the step table, one flat cell tuple for all shared arrays
-  (:class:`MemoryLayout`), and packed oracle state (the committed value
-  vector plus an arrival list and an acquired-bitmask per oracle).  The
-  cell and acquired-mask tuples are copy-on-write: a write or an acquire
-  replaces its tuple, so ``fork()`` shares them and copies only a few
-  small lists — **no generator replay** — and ``orbit_key()`` is one flat
-  tuple instead of a recursive freeze walk.
+  (:class:`MemoryLayout`) and one acquired-pid mask per oracle.  The
+  successor function maps ``(key, pid)`` to the successor key, the value
+  ``pid`` decides there and the operation's result; an oracle's next
+  hand-out is its committed vector at the popcount of its mask.
 
-* :meth:`MachineState.transition` — the orbit quotient's successor
-  function.  An orbit key holds every field of a machine that its future
-  depends on, so the quotient's frames hold canonical orbit keys
-  (:class:`ValueCanonicalizer`) and one transition maps ``(key, pid)`` to
-  the successor key and the value ``pid`` decides there.  Machines serve
-  ``runs()``, the harness and the exploration's root; the quotient forks
-  and steps none.
+* :class:`MachineState` — one run over orbit keys: its key plus the run's
+  bookkeeping (outputs, decision steps, crashes, step counts, trace).
+  ``step`` applies the transition and ``fork()`` shares the key and
+  copies the bookkeeping — **no generator replay**.  The orbit quotient
+  (:mod:`repro.shm.engine`) steps canonical keys
+  (:class:`ValueCanonicalizer`) with the same transition and holds no
+  machine.
 
 Semantics notes (all verified by the differential suite in
 ``tests/shm/test_compiled_differential.py``):
@@ -127,8 +127,7 @@ _OP_READ = 1  # (code, cell)
 _OP_SNAPSHOT = 2  # (code, start, stop)
 _OP_INVOKE = 3  # (code, oracle index)
 _OP_NOP = 4  # (code,)
-_OP_GENERIC = 5  # (code, object name, method, args)
-_OP_RAISE = 6  # (code, exception instance) — deferred execution error
+_OP_RAISE = 5  # (code, exception instance) — deferred execution error
 
 
 class MemoryLayout:
@@ -235,6 +234,11 @@ class CompiledProtocol:
     shape)``, across schedules, crash patterns and oracle assignments
     alike — results index the trie, so differing oracle hand-outs simply
     populate different branches.
+
+    Every shared object must be a :class:`~repro.shm.oracles.GSBOracle`:
+    an oracle's state is its acquired-pid mask in the orbit key, and no
+    other object's state is.  Any other object raises
+    :class:`ProtocolError` here; the generator runtime explores it.
     """
 
     def __init__(
@@ -254,15 +258,14 @@ class CompiledProtocol:
         self.identities = tuple(identities)
         self.n = n
         self.layout = MemoryLayout(n, arrays)
-        #: Object split: GSB oracles are packed into machine arrays; any
-        #: other shared object rides a generic (clone()-based) path.
-        self.oracle_names: list[str] = []
-        self.generic_names: list[str] = []
         for name, obj in (objects or {}).items():
-            if isinstance(obj, GSBOracle):
-                self.oracle_names.append(name)
-            else:
-                self.generic_names.append(name)
+            if not isinstance(obj, GSBOracle):
+                raise ProtocolError(
+                    f"shared object {name!r} is a {type(obj).__name__}, not "
+                    "a GSBOracle: the compiled core has no state for it "
+                    "(explore it on the generator Runtime)"
+                )
+        self.oracle_names: list[str] = list(objects or {})
         self._oracle_index = {
             name: index for index, name in enumerate(self.oracle_names)
         }
@@ -275,12 +278,15 @@ class CompiledProtocol:
         self.sent: list[Any] = []  #: raw result received on the in-edge
         self.pids: list[int] = []  #: owning process of the node
         #: With ``frame_nodes`` the table is a DAG over *local states*
-        #: rather than a trie over histories: newly-traced nodes whose
-        #: suspended-generator frame signature (:mod:`.localstate`)
-        #: matches an existing node merge into it, so states reached
-        #: along different result histories share one program counter.
-        #: Histories whose frames defy sound signing (exotic yield
-        #: shapes, unfreezable locals) silently keep trie identity.
+        #: rather than a trie over histories: a newly-traced node whose
+        #: suspended-generator frame signature (:mod:`.localstate`) and
+        #: packed pending operation match an existing node merges into
+        #: it, so states reached along different result histories share
+        #: one program counter.  The pending operation is part of the
+        #: local state because it may read locals that are dead once it
+        #: is issued, which the signature drops.  Histories whose frames
+        #: defy sound signing (exotic yield shapes, unfreezable locals)
+        #: keep trie identity.
         self.frame_nodes = frame_nodes
         self._absmap: dict[Any, int] = {}
         _TABLE_TOTALS["programs"] += 1
@@ -301,20 +307,7 @@ class CompiledProtocol:
             op = next(generator)
         except StopIteration as stop:
             return self._add_node(pid, -1, None, None, decision=stop.value)
-        return self._add_node(
-            pid, -1, None, None, op=op,
-            signature=self._frame_signature(pid, generator),
-        )
-
-    def _frame_signature(self, pid: int, generator: Any) -> Any | None:
-        if not self.frame_nodes:
-            return None
-        from .localstate import generator_signature
-
-        signature = generator_signature(generator, freeze_value)
-        if signature is None:
-            return None
-        return (pid, signature)
+        return self._add_node(pid, -1, None, None, op=op, generator=generator)
 
     def _add_node(
         self,
@@ -324,27 +317,46 @@ class CompiledProtocol:
         raw_result: Any,
         op: Op | None = None,
         decision: Any = None,
-        signature: Any = None,
+        generator: Any = None,
     ) -> int:
+        """The node of the local state a trace reached: a new node, or
+        with ``frame_nodes`` an existing one of the same local state, onto
+        which ``parent --key-->`` is routed.  ``generator`` is suspended
+        at ``op``; it is None for a decision."""
         if op is None and decision is None:
             # Mirrors Runtime._decide: deciding None is a protocol error.
             raise ProtocolError(
                 f"process {pid} terminated without deciding (returned None)"
             )
+        entry = None if op is None else self._pack(pid, op)
+        decision = None if decision is None else freeze_value(decision)
+        state = None
+        if self.frame_nodes:
+            if op is None:
+                state = (pid, "decided", decision)
+            else:
+                from .localstate import generator_signature
+
+                signature = generator_signature(generator, freeze_value)
+                if signature is not None:
+                    state = (pid, signature, entry)
+            existing = self._absmap.get(state)
+            if existing is not None:
+                self.edges[parent][key] = existing
+                _TABLE_TOTALS["frame_merges"] += 1
+                return existing
         node = len(self.ops)
         self.ops.append(op)
-        self.exec_table.append(None if op is None else self._pack(pid, op))
-        self.decisions.append(
-            None if decision is None else freeze_value(decision)
-        )
+        self.exec_table.append(entry)
+        self.decisions.append(decision)
         self.edges.append({})
         self.parents.append(parent)
         self.sent.append(raw_result)
         self.pids.append(pid)
         if parent >= 0:
             self.edges[parent][key] = node
-        if signature is not None:
-            self._absmap[signature] = node
+        if state is not None:
+            self._absmap[state] = node
         _TABLE_TOTALS["nodes"] += 1
         return node
 
@@ -392,57 +404,12 @@ class CompiledProtocol:
                         "result log ended in a decision before the compiled "
                         "table's pending op"
                     ) from None
-                decided_sig = None
-                if self.frame_nodes:
-                    decided_sig = (pid, "decided", freeze_value(stop.value))
-                    merged = self._merge_node(
-                        parent, key, decided_sig, decision=stop.value
-                    )
-                    if merged is not None:
-                        return merged
                 return self._add_node(
-                    pid, parent, key, raw_result,
-                    decision=stop.value, signature=decided_sig,
+                    pid, parent, key, raw_result, decision=stop.value
                 )
-        signature = self._frame_signature(pid, generator)
-        if signature is not None:
-            merged = self._merge_node(parent, key, signature, op=op)
-            if merged is not None:
-                return merged
         return self._add_node(
-            pid, parent, key, raw_result, op=op, signature=signature
+            pid, parent, key, raw_result, op=op, generator=generator
         )
-
-    def _merge_node(
-        self, parent: int, key: Any, signature: Any,
-        op: Op | None = None, decision: Any = None,
-    ) -> int | None:
-        """Route ``parent --key-->`` onto an existing local state, if any.
-
-        Returns the merged node, or None when this local state is new.
-        A signature collision whose pending operation disagrees means the
-        frame abstraction mis-identified two states — that would corrupt
-        every downstream count, so it fails loudly instead of merging.
-        """
-        existing = self._absmap.get(signature)
-        if existing is None:
-            return None
-        if op is not None and self.ops[existing] != op:
-            raise ProtocolError(
-                f"frame-signature merge mismatch: states signed {signature!r} "
-                f"record pending ops {self.ops[existing]!r} and {op!r}; "
-                "the local-state analysis is unsound for this algorithm"
-            )
-        if decision is not None and self.decisions[existing] != freeze_value(
-            decision
-        ):
-            raise ProtocolError(
-                "frame-signature merge mismatch on decision values; "
-                "the local-state analysis is unsound for this algorithm"
-            )
-        self.edges[parent][key] = existing
-        _TABLE_TOTALS["frame_merges"] += 1
-        return existing
 
     # -- packing --------------------------------------------------------
 
@@ -504,14 +471,11 @@ class CompiledProtocol:
                         ),
                     )
                 return (_OP_INVOKE, self._oracle_index[op.obj])
-            if op.obj in self.generic_names:
-                return (_OP_GENERIC, op.obj, op.method, op.args)
-            available = sorted(self.oracle_names + self.generic_names)
             return (
                 _OP_RAISE,
                 ProtocolError(
                     f"process {pid} invoked unknown object {op.obj!r}; "
-                    f"available: {available}"
+                    f"available: {sorted(self.oracle_names)}"
                 ),
             )
         if isinstance(op, Nop):
@@ -565,29 +529,71 @@ def compile_protocol(
     return CompiledProtocol(algorithm, identities, arrays=arrays, objects=objects)
 
 
-def _replaced(items: tuple, index: int, value: Any, pool: dict) -> tuple:
-    """``items`` with ``items[index]`` replaced, interned in ``pool``: the
-    copy-on-write update of a machine's cell and acquired-mask tuples."""
-    updated = list(items)
-    updated[index] = value
-    updated = tuple(updated)
-    return pool.setdefault(updated, updated)
-
-
-def _acquired_twice(
-    program: CompiledProtocol, pid: int, index: int
-) -> OracleUsageError:
-    return OracleUsageError(
-        f"process {pid} acquired twice from the "
-        f"{program.oracle_names[index]!r} oracle"
-    )
-
-
 def _clone_object(obj: Any) -> Any:
     clone = getattr(obj, "clone", None)
     if callable(clone):
         return clone()
     return _deepcopy(obj)
+
+
+def _transition(
+    program: CompiledProtocol, values: tuple[tuple, ...]
+) -> Callable[[tuple, int], tuple[tuple, Any, Any]]:
+    """The successor function over ``program``'s orbit keys, with
+    ``values`` each oracle's committed vector (see
+    :meth:`MachineState.transition`)."""
+    exec_table = program.exec_table
+    edges = program.edges
+    decisions = program.decisions
+    extend = program.extend
+    # Interns the cell and acquired-mask tuples that writes and acquires
+    # make: equal contents are one object across a whole run or
+    # exploration.
+    intern = {}.setdefault
+    n = program.n
+
+    def successor(key: tuple, pid: int) -> tuple[tuple, Any, Any]:
+        node = key[pid]
+        entry = exec_table[node]
+        code = entry[0]
+        cells = key[n]
+        updated = list(key)
+        if code == _OP_WRITE:
+            result = None
+            if cells[entry[1]] != entry[2]:
+                cells = list(cells)
+                cells[entry[1]] = entry[2]
+                cells = tuple(cells)
+                updated[n] = intern(cells, cells)
+        elif code == _OP_SNAPSHOT:
+            result = cells[entry[1] : entry[2]]
+        elif code == _OP_READ:
+            result = cells[entry[1]]
+        elif code == _OP_INVOKE:
+            index = entry[1]
+            acquired = list(key[n + 1])
+            held = acquired[index]
+            if held >> pid & 1:
+                raise OracleUsageError(
+                    f"process {pid} acquired twice from the "
+                    f"{program.oracle_names[index]!r} oracle"
+                )
+            result = values[index][held.bit_count()]
+            acquired[index] = held | 1 << pid
+            acquired = tuple(acquired)
+            updated[n + 1] = intern(acquired, acquired)
+        elif code == _OP_NOP:
+            result = None
+        else:  # _OP_RAISE: a deferred compile-time diagnosis
+            raise entry[1]
+        child = edges[node].get(result)
+        if child is None:
+            child = extend(node, result, result)
+        decided = decisions[child]
+        updated[pid] = child if decided is None else DECIDED
+        return tuple(updated), decided, result
+
+    return successor
 
 
 class _MachineSchedulerState:
@@ -611,18 +617,16 @@ class _MachineSchedulerState:
 
 
 class MachineState:
-    """Array-backed runtime state over a :class:`CompiledProtocol`.
+    """One run of a :class:`CompiledProtocol`, held as an orbit key.
 
     Drop-in for :class:`repro.shm.runtime.Runtime` wherever
     :meth:`~repro.shm.engine.PrefixSharingEngine.runs` and the harness
-    drive runs (``step``/``run``/``fork``/``result``/``enabled_pids``),
-    with the two costs the compiled core exists to remove:
-
-    * ``fork()`` copies a few flat lists and shares the copy-on-write
-      cell and acquired-mask tuples — O(state), zero generator work;
-    * ``orbit_key()`` returns one flat tuple of program counters, the
-      cell tuple and the acquired-mask tuple, and :meth:`transition`
-      steps such keys without a machine.
+    drive runs (``step``/``run``/``fork``/``result``/``enabled_pids``).
+    The machine's state is one orbit key (:meth:`orbit_key`), which
+    :meth:`step` replaces with its :meth:`transition` successor; the rest
+    is the run's bookkeeping: outputs, decision steps, crashes, step
+    counts and the trace.  ``fork()`` shares the key and the transition
+    and copies the bookkeeping — O(n), zero generator work.
 
     ``record_trace`` defaults to *False* (the opposite of ``Runtime``):
     ``runs()`` neither needs nor wants per-fork trace copies.  Harness
@@ -642,13 +646,9 @@ class MachineState:
         "per_pid_steps",
         "trace",
         "record_trace",
-        "_pc",
-        "_cells",
+        "_key",
         "_oracle_values",
-        "_oracle_arrivals",
-        "_oracle_acquired",
-        "_generic",
-        "_tuples",
+        "_successor",
     )
 
     def __init__(
@@ -667,126 +667,75 @@ class MachineState:
         self.identities = program.identities
         self.record_trace = record_trace
         self.trace: list[TraceEvent] = []
-        #: Copy-on-write: a write replaces the tuple, never mutates it, so
-        #: forks and orbit keys share it.
-        self._cells = tuple(program.layout.initial_cells(arrays))
-        #: Interning pool of the cell and acquired-mask tuples that writes
-        #: and acquires make, shared by every fork and :meth:`transition`
-        #: of this machine: equal contents are one object across the whole
-        #: exploration.
-        self._tuples: dict[tuple, tuple] = {}
 
         objects = dict(objects or {})
-        expected = set(program.oracle_names) | set(program.generic_names)
-        if set(objects) != expected:
+        if set(objects) != set(program.oracle_names):
             raise ValueError(
                 f"objects {sorted(objects)} do not match the compiled "
-                f"program's objects {sorted(expected)}"
+                f"program's objects {sorted(program.oracle_names)}"
             )
-        self._oracle_values: list[tuple] = []
-        self._oracle_arrivals: list[list[int]] = []
-        acquired: list[int] = []
-        for name in program.oracle_names:
-            oracle: GSBOracle = objects[name]
-            self._oracle_values.append(tuple(oracle._values))
-            self._oracle_arrivals.append(list(oracle._arrivals))
-            mask = 0
-            for pid in oracle._assigned:
-                mask |= 1 << pid
-            acquired.append(mask)
-        #: Copy-on-write, like ``_cells``: an acquire replaces the tuple.
-        self._oracle_acquired: tuple[int, ...] = tuple(acquired)
-        self._generic = {name: objects[name] for name in program.generic_names}
+        oracles = [objects[name] for name in program.oracle_names]
+        #: Each oracle's committed value vector, fixed for the run.
+        self._oracle_values = tuple(tuple(o._values) for o in oracles)
+        acquired = tuple(sum(1 << pid for pid in o._assigned) for o in oracles)
 
         self.outputs: list[Any] = [None] * self.n
         self.decided_at: list[int | None] = [None] * self.n
         self.crashed: set[int] = set()
         self.step_count = 0
         self.per_pid_steps = [0] * self.n
-        self._pc = list(program.roots)
-        for pid, node in enumerate(self._pc):
+        pcs = list(program.roots)
+        for pid, node in enumerate(pcs):
             if program.ops[node] is None:
                 # Communication-free decision: decided before any step.
                 self.outputs[pid] = program.decisions[node]
                 self.decided_at[pid] = 0
-                self._pc[pid] = DECIDED
+                pcs[pid] = DECIDED
+        cells = tuple(program.layout.initial_cells(arrays))
+        self._key = (*pcs, cells, acquired)
+        self._successor = _transition(program, self._oracle_values)
 
     # -- the runtime surface the engine and harness drive ----------------
 
     def enabled_pids(self) -> list[int]:
         """Processes that can still take a step."""
-        return [pid for pid, node in enumerate(self._pc) if node >= 0]
+        key = self._key
+        return [pid for pid in range(self.n) if key[pid] >= 0]
 
     def step(self, pid: int) -> None:
-        """Execute one step of ``pid``: run its pending packed operation,
-        then advance its program counter along the matching table edge
-        (tracing the successor on a first visit)."""
-        node = self._pc[pid]
-        if node < 0:
+        """Execute one step of ``pid``: replace the key with its
+        :meth:`transition` successor and record the step in the run's
+        bookkeeping."""
+        key = self._key
+        if key[pid] < 0:
             if pid in self.crashed:
                 raise ProtocolError(f"process {pid} is crashed and cannot step")
             raise ProtocolError(
                 f"process {pid} already decided and cannot step"
             )
-        program = self.program
-        entry = program.exec_table[node]
-        code = entry[0]
-        cells = self._cells
-        if code == _OP_WRITE:
-            if cells[entry[1]] != entry[2]:
-                self._cells = _replaced(
-                    cells, entry[1], entry[2], self._tuples
-                )
-            result = None
-        elif code == _OP_SNAPSHOT:
-            result = cells[entry[1] : entry[2]]
-        elif code == _OP_READ:
-            result = cells[entry[1]]
-        elif code == _OP_INVOKE:
-            index = entry[1]
-            mask = 1 << pid
-            acquired = self._oracle_acquired
-            if acquired[index] & mask:
-                raise _acquired_twice(program, pid, index)
-            arrivals = self._oracle_arrivals[index]
-            result = self._oracle_values[index][len(arrivals)]
-            arrivals.append(pid)
-            self._oracle_acquired = _replaced(
-                acquired, index, acquired[index] | mask, self._tuples
-            )
-        elif code == _OP_NOP:
-            result = None
-        elif code == _OP_GENERIC:
-            result = self._generic[entry[1]].invoke(pid, entry[2], entry[3])
-        else:  # _OP_RAISE: a deferred compile-time diagnosis
-            raise entry[1]
-
+        self._key, decided, result = self._successor(key, pid)
         if self.record_trace:
             self.trace.append(
-                TraceEvent(self.step_count, pid, program.ops[node], result)
+                TraceEvent(
+                    self.step_count, pid, self.program.ops[key[pid]], result
+                )
             )
         self.step_count += 1
         self.per_pid_steps[pid] += 1
-
-        key = freeze_value(result) if code == _OP_GENERIC else result
-        child = program.edges[node].get(key)
-        if child is None:
-            child = program.extend(node, key, result)
-        if program.ops[child] is None:
-            self.outputs[pid] = program.decisions[child]
+        if decided is not None:
+            self.outputs[pid] = decided
             self.decided_at[pid] = self.step_count
-            self._pc[pid] = DECIDED
-        else:
-            self._pc[pid] = child
 
     def crash(self, pid: int) -> None:
         """Crash ``pid``: it takes no further steps."""
-        if self._pc[pid] < 0:
+        key = list(self._key)
+        if key[pid] < 0:
             raise ProtocolError(
                 f"cannot crash {pid}: already crashed or decided"
             )
         self.crashed.add(pid)
-        self._pc[pid] = CRASHED
+        key[pid] = CRASHED
+        self._key = tuple(key)
 
     def run(self) -> RunResult:
         """Drive the run under the machine's scheduler (cf. ``Runtime.run``)."""
@@ -814,12 +763,12 @@ class MachineState:
         return self.result()
 
     def fork(self) -> "MachineState":
-        """Independent copy of this mid-run state: plain array copies.
+        """Independent copy of this mid-run state.
 
-        The step table is shared (it is append-only and common to every
-        machine of one program), and so are the copy-on-write cell and
-        acquired-mask tuples; the rest is flat lists copied in O(state) —
-        no generator replay, no recursion, no per-step work.
+        The orbit key is immutable and the transition is common to every
+        fork of one root machine, so both are shared; the bookkeeping is
+        flat lists copied in O(n) — no generator replay, no recursion, no
+        per-step work.
         """
         dup = MachineState.__new__(MachineState)
         dup.program = self.program
@@ -831,28 +780,23 @@ class MachineState:
         dup.identities = self.identities
         dup.record_trace = self.record_trace
         dup.trace = list(self.trace) if self.record_trace else []
-        dup._cells = self._cells
-        dup._oracle_values = self._oracle_values
-        dup._oracle_arrivals = [
-            arrivals.copy() for arrivals in self._oracle_arrivals
-        ]
-        dup._oracle_acquired = self._oracle_acquired
-        dup._tuples = self._tuples
-        dup._generic = {
-            name: _clone_object(obj) for name, obj in self._generic.items()
-        }
         dup.outputs = self.outputs.copy()
         dup.decided_at = self.decided_at.copy()
         dup.crashed = set(self.crashed)
         dup.step_count = self.step_count
         dup.per_pid_steps = self.per_pid_steps.copy()
-        dup._pc = self._pc.copy()
+        dup._key = self._key
+        dup._oracle_values = self._oracle_values
+        dup._successor = self._successor
         return dup
 
     # -- value-symmetry orbit quotient -----------------------------------
 
     def orbit_key(self) -> tuple:
-        """Orbit signature of this state, the engine's memo key.
+        """This machine's state and the engine's memo key: one flat tuple
+        ``(*pcs, cells, acquired)`` of the ``n`` program counters (decided
+        and crashed processes as negative sentinels), the cell tuple and
+        one acquired-pid mask per oracle.
 
         It is coarser than an exact key of the global state in two ways,
         both sound for any program driven here (verified by the quotient
@@ -867,107 +811,37 @@ class MachineState:
           values it has handed out (the committed value vector is fixed
           per exploration), and each received value is already encoded
           in its receiver's program counter.
-
-        The key is one flat tuple ``(*pcs, cells, acquired)``: the ``n``
-        program counters, then the machine's own cell and acquired-mask
-        tuples (shared, not copied, so keys of states that no write
-        separates share one cells object).  It holds every field the
-        state's future depends on, unless the program has a generic shared
-        object: that object's state is not in the key, and the engine
-        counts such programs over their runs instead.
         """
-        return (*self._pc, self._cells, self._oracle_acquired)
+        return self._key
 
-    def transition(self) -> Callable[[tuple, int], tuple[tuple, Any]]:
-        """The successor function over this exploration's orbit keys.
+    def transition(self) -> Callable[[tuple, int], tuple[tuple, Any, Any]]:
+        """The successor function over this machine's orbit keys.
 
         The returned ``successor(key, pid)`` takes an orbit key (see
         :meth:`orbit_key`) and a pid that is live in it, and returns
-        ``(successor key, decided value)``: the key of the state
-        ``step(pid)`` reaches, and the value ``pid`` decides there (None
-        while it runs on).  It reads the key and the step table only, so
-        it needs no machine: it raises what :meth:`step` raises (a second
-        acquire, a deferred compile-time error), and an untraced edge is
-        traced by the :meth:`CompiledProtocol.extend` call a step would
-        make.  An oracle's next hand-out is its committed vector at the
-        popcount of its acquired mask, since each pid acquires once; this
-        machine's arrival lists must agree, and are checked here.
-        Successor keys share this machine's committed vectors and its
-        interning pool.  Generic shared objects have no transition: their
-        state is not in the key.
+        ``(successor key, decided value, result)``: the key after ``pid``
+        executes its pending operation, the value ``pid`` decides there
+        (None while it runs on) and the operation's result.  It reads the
+        key and the step table only: :meth:`step` applies it to this
+        machine's key, and the orbit quotient to its frames' keys.  An
+        untraced edge is traced by :meth:`CompiledProtocol.extend`; a
+        second acquire raises :class:`~repro.shm.oracles.OracleUsageError`
+        and a deferred compile-time error raises as the generator runtime
+        would raise it.  An oracle's next hand-out is its committed
+        vector at the popcount of its acquired mask, since each pid
+        acquires once.  Built once per root machine and shared by its
+        forks, with the pool that interns the tuples its successors make.
         """
-        if self._generic:
-            raise ProtocolError(
-                f"shared objects {sorted(self._generic)} have no orbit-key "
-                "transition"
-            )
-        program = self.program
-        for index, mask in enumerate(self._oracle_acquired):
-            if mask.bit_count() != len(self._oracle_arrivals[index]):
-                raise ProtocolError(
-                    f"the {program.oracle_names[index]!r} oracle's arrivals "
-                    "disagree with its acquired pids"
-                )
-        exec_table = program.exec_table
-        edges = program.edges
-        decisions = program.decisions
-        extend = program.extend
-        values = self._oracle_values
-        pool = self._tuples
-        intern = pool.setdefault
-        n = self.n
+        return self._successor
 
-        def successor(key: tuple, pid: int) -> tuple[tuple, Any]:
-            node = key[pid]
-            entry = exec_table[node]
-            code = entry[0]
-            cells = key[n]
-            updated = list(key)
-            if code == _OP_WRITE:
-                result = None
-                if cells[entry[1]] != entry[2]:
-                    # ``_replaced`` inlined: writes are most transitions.
-                    cells = list(cells)
-                    cells[entry[1]] = entry[2]
-                    cells = tuple(cells)
-                    updated[n] = intern(cells, cells)
-            elif code == _OP_SNAPSHOT:
-                result = cells[entry[1] : entry[2]]
-            elif code == _OP_READ:
-                result = cells[entry[1]]
-            elif code == _OP_INVOKE:
-                index = entry[1]
-                acquired = key[n + 1]
-                held = acquired[index]
-                if held >> pid & 1:
-                    raise _acquired_twice(program, pid, index)
-                result = values[index][held.bit_count()]
-                updated[n + 1] = _replaced(
-                    acquired, index, held | 1 << pid, pool
-                )
-            elif code == _OP_NOP:
-                result = None
-            else:  # _OP_RAISE: a deferred compile-time diagnosis
-                raise entry[1]
-            child = edges[node].get(result)
-            if child is None:
-                child = extend(node, result, result)
-            decided = decisions[child]
-            updated[pid] = child if decided is None else DECIDED
-            return tuple(updated), decided
-
-        return successor
-
-    def probe_step(self, pid: int) -> tuple[tuple, Any] | None:
-        """:meth:`transition` applied to this machine's :meth:`orbit_key`:
-        the orbit key and decided value ``step(pid)`` would produce,
-        without forking or stepping.  None when there is no successor to
-        predict: ``pid`` is decided or crashed, or a generic shared object
-        holds state the key does not.
-        """
-        if self._generic or self._pc[pid] < 0:
+    def probe_step(self, pid: int) -> tuple[tuple, Any, Any] | None:
+        """The :meth:`transition` successor :meth:`step` would apply to
+        this machine's key, without stepping; None when ``pid`` is
+        decided or crashed."""
+        key = self._key
+        if key[pid] < 0:
             return None
-        return self.transition()(self.orbit_key(), pid)
+        return self._successor(key, pid)
 
     def result(self) -> RunResult:
         return RunResult(
@@ -1065,9 +939,8 @@ class ValueCanonicalizer:
         """``(canonical orbit key, inverse relabeling)`` for one raw key.
 
         ``key`` is a :meth:`MachineState.orbit_key` (or a
-        :meth:`MachineState.transition` successor) of a program without
-        generic shared objects, and ``values`` the exploration's committed
-        oracle vector.  The number of values handed out is the popcount of
+        :meth:`MachineState.transition` successor), and ``values`` the
+        exploration's committed oracle vector.  The number of values handed out is the popcount of
         the acquired mask: each pid acquires at most once.  The relabeling
         is None for the identity, and a canonical key is its own canonical
         key under it.

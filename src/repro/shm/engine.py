@@ -237,21 +237,13 @@ class PrefixSharingEngine:
         quotient (:meth:`_decided_vectors_quotient`): the memo is a table
         over value-symmetry **orbits** (:meth:`MachineState.orbit_key
         <repro.shm.compiled.MachineState.orbit_key>`), and frames hold
-        canonical orbit keys, which one transition steps.  A compiled
-        program with a shared object other than a GSB oracle keeps that
-        object's state outside the key, so it is counted over
-        :meth:`runs`.  A generator :class:`Runtime`, the reference the
-        differential suites compare against, runs an exact DFS memoized by
-        :meth:`Runtime.state_key`.
+        canonical orbit keys, which one transition steps.  A generator
+        :class:`Runtime`, the reference the differential suites compare
+        against, runs an exact DFS memoized by :meth:`Runtime.state_key`.
         """
         root = self._make()
         if not hasattr(root, "transition"):
             return self._decided_vectors_exact(root)
-        if root.program.generic_names:
-            return Counter(
-                tuple(freeze_value(v) for v in run.outputs)
-                for run in self.runs()
-            )
         return self._decided_vectors_quotient(root)
 
     def _decided_vectors_exact(self, root: Runtime) -> Counter:
@@ -447,7 +439,7 @@ class PrefixSharingEngine:
                     continue
                 frame[2] = index + 1
                 pid = branches[index]
-                key, decided = successor(frame[0], pid)
+                key, decided, _ = successor(frame[0], pid)
                 if decided is None:
                     child_branches = branches
                 elif len(branches) == 1:

@@ -76,7 +76,7 @@ def test_bounded_names_the_work_the_loop_may_do(root):
         (decide, True),  # a cell of the store: one pack row
         ({"n": "25", "m": "5"}, True),  # the structural fallback
         ({"n": str(2**64 - 1), "m": "3"}, True),
-        ({"n": str(2**64), "m": "3"}, False),  # the explicit gcd
+        ({"n": str(2**64), "m": "3"}, True),  # a 400: past the gcd bound
         ({"n": "20", "m": "8"}, False),  # tier 3 would assemble a row
         ({"n": "x", "m": "3"}, True),  # a 400
         ({"m": "3"}, True),
@@ -115,6 +115,26 @@ def test_large_n_fallback_decides_route_in_under_a_second(root, params):
     assert time.perf_counter() - started < 1.0
     assert response.status == 200
     assert response.payload["source"] == "pipeline"
+
+
+@pytest.mark.parametrize("n", [2**64, 2**64 + 1])
+def test_decide_past_the_gcd_bound_is_a_400_on_the_loop(root, n):
+    # Theorem 10's gcd from every binomial never returns at this size:
+    # the answer names the bound instead, before the fallback runs.
+    service = fresh_service(root)
+    calls = record_threads(service)
+    target = f"/decide?n={n}&m={2 * n - 2}&low=0&high=1"
+    with BackgroundServer(root, service=service) as server:
+        assert server.get(IN_STORE)[0] == 200  # settles the scope
+        started = time.perf_counter()
+        status, _, payload = request_json(
+            server.host, server.port, "GET", target, timeout=5
+        )
+        assert time.perf_counter() - started < 1.0
+    assert status == 400
+    assert "2**64" in payload["error"] and str(n) in payload["error"]
+    assert calls[-1][1] == "/decide"
+    assert not on_handler_thread(calls[-1][0])
 
 
 def test_bounded_requests_answer_while_the_only_handler_thread_is_held(root):

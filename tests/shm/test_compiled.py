@@ -270,7 +270,10 @@ class TestOraclePacking:
             fork.step(pid)
         assert machine.outputs == fork.outputs
         assert machine.orbit_key() == fork.orbit_key()
-        assert machine._oracle_arrivals == fork._oracle_arrivals
+        # Both hand-outs after the fork came from the shared committed
+        # vector: every pid holds the oracle, and each a distinct value.
+        assert fork.orbit_key()[-1] == (0b111,)
+        assert sorted(fork.outputs) == sorted(fresh_oracle()._values)
 
 
 class TestForkAndOrbitKey:

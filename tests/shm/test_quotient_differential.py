@@ -9,20 +9,22 @@ reference semantics, so this suite pins:
 
 * **multiset identity** — for every registry spec at n <= 3, the
   quotiented decided-vector Counter is byte-identical to the generator
-  reference, memoized and run by run (serial and subset-profile paths);
-* **transition fidelity** — the quotient steps orbit keys, not machines:
-  :meth:`MachineState.transition` of a state's orbit key matches a real
-  fork + step, key and decided value, at every reachable state, and so
-  does its machine-side wrapper :meth:`MachineState.probe_step` along a
-  bounded walk;
+  reference, memoized and run by run (serial and subset-profile paths),
+  and so is it for a protocol whose pending write reads a local that is
+  dead once the write is issued (frame nodes must not merge across it);
+* **transition fidelity** — the one step semantics of the compiled core,
+  :meth:`MachineState.transition`, matches a lockstep step of the
+  generator reference (decided value, result, cells, acquired masks,
+  live pids) at every reachable state, and a machine's
+  :meth:`MachineState.probe_step` predicts its own step;
 * **canonical idempotence** — :class:`ValueCanonicalizer` output is a
   fixpoint: the free values of a canonical key already appear in
   ascending first-occurrence order, so a second pass is the identity.
   Every memo key is canonical, which is what lets the quotient look a
   raw successor key up before canonicalizing it;
 * **error parity** — the quotient raises what :meth:`MachineState.step`
-  raises, and counts programs with generic shared objects over their
-  runs;
+  raises, and the compiled core refuses a shared object other than a GSB
+  oracle when it is built (the generator reference still counts it);
 * **stats plumbing** — orbit counters surface in
   :class:`~repro.shm.engine.EngineStats`.
 """
@@ -41,6 +43,7 @@ from repro.shm import (
     Nop,
     OracleUsageError,
     PrefixSharingEngine,
+    ProtocolError,
     Read,
     RegisterPermissionError,
     RoundRobinScheduler,
@@ -123,6 +126,20 @@ class TestQuotientMultisetIdentity:
         ).decided_vectors()
         assert quotient == exact
 
+    @pytest.mark.parametrize("frame_nodes", [True, False])
+    def test_pending_op_reading_a_dead_local(self, frame_nodes):
+        # ``forgetful``'s acquired value is dead at its write's yield, so
+        # states that acquired different values share a frame signature
+        # while their pending writes differ.
+        reference = PrefixSharingEngine(
+            runtime_factory(forgetful, slot_system_3, n=3)
+        ).decided_vectors()
+        quotient = PrefixSharingEngine(
+            compiled_factory(forgetful, frame_nodes, slot_system_3, n=3)
+        ).decided_vectors()
+        assert quotient == reference
+        assert sum(reference.values()) == 1_680
+
     @pytest.mark.parametrize("name,n", CASES)
     def test_proper_subset_participants(self, name, n):
         participants = tuple(range(n - 1)) or (0,)
@@ -186,42 +203,81 @@ def walk_states(make_machine, limit=400):
             stack.append(child)
 
 
-def reachable_states(make_machine):
-    """Every distinct state reachable from ``make_machine()``, deduplicated
-    by :func:`exact_key` (equal exact keys have equal futures)."""
-    root = make_machine()
-    seen = {exact_key(root)}
-    stack = [root]
-    while stack:
-        machine = stack.pop()
-        yield machine
-        for pid in machine.enabled_pids():
-            child = machine.fork()
+def walk_pairs(name, n, limit):
+    """Bounded lexicographic DFS yielding live ``(machine, reference)``
+    pairs: a compiled machine and the generator reference, stepped in
+    lockstep from the start state of one registry spec."""
+    spec = get_spec(name)
+    stack = [
+        (
+            make_spec_machine(spec, n, frame_nodes=True)(),
+            make_spec_runtime(spec, n)(),
+        )
+    ]
+    seen = 0
+    while stack and seen < limit:
+        machine, reference = stack.pop()
+        yield machine, reference
+        seen += 1
+        for pid in reversed(machine.enabled_pids()):
+            child, twin = machine.fork(), reference.fork()
             child.step(pid)
-            key = exact_key(child)
-            if key not in seen:
-                seen.add(key)
-                stack.append(child)
+            twin.step(pid)
+            stack.append((child, twin))
+
+
+def reference_cells(runtime, layout):
+    """The reference's shared memory as one flat tuple of frozen cells,
+    in the compiled layout's array order."""
+    return tuple(
+        freeze_value(value)
+        for name in layout.names
+        for value in runtime.memory.array(name).snapshot()
+    )
+
+
+def reference_masks(runtime):
+    """Each reference oracle's acquired pids as a bitmask."""
+    return tuple(
+        sum(1 << pid for pid in oracle.assigned)
+        for oracle in runtime.objects.values()
+    )
 
 
 class TestTransitionFidelity:
     @pytest.mark.parametrize("frame_nodes", [True, False])
     @pytest.mark.parametrize("name,n", CASES)
-    def test_transition_matches_real_step(self, name, n, frame_nodes):
-        make_machine = make_spec_machine(
-            get_spec(name), n, frame_nodes=frame_nodes
-        )
-        successor = make_machine().transition()
+    def test_successor_matches_a_reference_step(self, name, n, frame_nodes):
+        # Every reachable state, deduplicated by the reference's exact
+        # state key, as a pair (orbit key, reference in that state).
+        spec = get_spec(name)
+        root = make_spec_machine(spec, n, frame_nodes=frame_nodes)()
+        successor = root.transition()
+        program = root.program
+        start = make_spec_runtime(spec, n)()
+        seen = {start.state_key()}
+        stack = [(root.orbit_key(), start)]
         checked = 0
-        for machine in reachable_states(make_machine):
-            key = machine.orbit_key()
-            for pid in machine.enabled_pids():
-                child = machine.fork()
+        while stack:
+            key, reference = stack.pop()
+            live = reference.enabled_pids()
+            assert [pid for pid in range(n) if key[pid] >= 0] == live
+            assert key[n] == reference_cells(reference, program.layout)
+            assert key[n + 1] == reference_masks(reference)
+            for pid in live:
+                assert program.ops[key[pid]] == reference._pending_op[pid]
+                child_key, decided, result = successor(key, pid)
+                child = reference.fork()
                 child.step(pid)
-                decided = child.outputs[pid] if child._pc[pid] < 0 else None
-                assert successor(key, pid) == (child.orbit_key(), decided), (
-                    name, n, pid,
-                )
+                assert result == freeze_value(child.trace[-1].result)
+                output = child.outputs[pid]
+                assert decided == (
+                    None if output is None else freeze_value(output)
+                ), (name, n, pid)
+                state = child.state_key()
+                if state not in seen:
+                    seen.add(state)
+                    stack.append((child_key, child))
                 checked += 1
         assert checked > 0
 
@@ -236,10 +292,10 @@ class TestProbeFidelity:
                 probed = machine.probe_step(pid)
                 child = machine.fork()
                 child.step(pid)
-                key, decided = probed
+                key, decided, _ = probed
                 assert key == child.orbit_key(), (name, n, pid)
                 if decided is None:
-                    assert child._pc[pid] >= 0
+                    assert child.orbit_key()[pid] >= 0
                 else:
                     assert child.outputs[pid] == decided
                 checked += 1
@@ -273,8 +329,8 @@ class TestCanonicalIdempotence:
         relabel = canon.relabel
         index = canon._oracle
         values = machine._oracle_values[index]
-        pending = set(values[len(machine._oracle_arrivals[index]) :])
-        pcs, cells = key[: machine.n], key[machine.n]
+        pcs, cells, acquired = key[: machine.n], key[machine.n], key[-1]
+        pending = set(values[acquired[index].bit_count() :])
         seen, order = set(), []
         for cell in cells:
             for value in relabel.cell_values(cell):
@@ -376,15 +432,19 @@ class TestCanonicalIdempotence:
             assert canon.canonical(key, values) == (key, None)
 
 
-def exact_key(machine):
-    """The exact global state of a machine: program counters, decided
-    outputs, cells and each oracle's arrival order (no generic objects in
-    the registry specs)."""
+def exact_key(machine, reference):
+    """The exact global state of a lockstep pair (see :func:`walk_pairs`):
+    the machine's program counters and cells, its decided outputs, and
+    each oracle's arrival order, read from the reference's oracles."""
+    key = machine.orbit_key()
     return (
-        tuple(machine._pc),
+        key[: machine.n],
         tuple(machine.outputs),
-        machine._cells,
-        tuple(map(tuple, machine._oracle_arrivals)),
+        key[machine.n],
+        tuple(
+            tuple(oracle.arrival_order)
+            for oracle in reference.objects.values()
+        ),
     )
 
 
@@ -392,30 +452,26 @@ class TestOrbitKeyCoarseness:
     @pytest.mark.parametrize("name,n", CASES)
     def test_orbit_key_factors_out_decided_outputs(self, name, n):
         # Exact state keys include outputs; orbit keys must not.
-        make_machine = make_spec_machine(get_spec(name), n, frame_nodes=True)
-        for machine in walk_states(make_machine, limit=100):
+        for machine, reference in walk_pairs(name, n, limit=100):
             key = machine.orbit_key()
-            if key is None:
-                continue
-            # Flat key: n program counters, then cells and acquired masks
-            # (no generic objects in the registry specs).
+            # Flat key: n program counters, then cells and acquired masks.
             assert len(key) == n + 2
-            pcs = key[:n]
-            assert len(pcs) == n
             assert tuple(machine.outputs) not in (key,)  # structural shape
-            assert exact_key(machine)[0] == pcs
+            pcs, outputs, cells, _ = exact_key(machine, reference)
+            assert (pcs, cells) == (key[:n], key[n])
+            assert outputs == tuple(
+                None if value is None else freeze_value(value)
+                for value in reference.outputs
+            )
 
     def test_arrival_order_collapses(self):
         # Two states whose exact keys differ only in the order processes
         # reached the oracle share an orbit key: the acquired mask stands
         # in for the arrival list (renaming: pure GSB oracle).
-        make_machine = make_spec_machine(
-            get_spec("renaming"), 2, frame_nodes=True
-        )
         first: dict = {}
         merged = 0
-        for machine in walk_states(make_machine, limit=2000):
-            state = exact_key(machine)
+        for machine, reference in walk_pairs("renaming", 2, limit=2000):
+            state = exact_key(machine, reference)
             pcs, outputs, cells, arrivals = state
             unordered = (pcs, outputs, cells, tuple(map(frozenset, arrivals)))
             known, known_key = first.setdefault(
@@ -458,8 +514,32 @@ def spinner(ctx):
         yield Nop()
 
 
+def forgetful(ctx):
+    value = yield Invoke("KS", GSBOracle.ACQUIRE)
+    yield Write("A", value)  # ``value`` is dead from here on
+    view = yield Snapshot("A")
+    return view
+
+
 def slot_system():
     return {"A": None}, {"KS": GSBOracle(k_slot(2, 1), seed=0)}
+
+
+def slot_system_3():
+    return {"A": None}, {"KS": GSBOracle(k_slot(3, 2), seed=0)}
+
+
+def runtime_factory(algorithm, system, n):
+    """Generator reference factory over ``system()`` (identities 1..n)."""
+
+    def make_runtime():
+        arrays, objects = system()
+        return Runtime(
+            algorithm, list(range(1, n + 1)), RoundRobinScheduler(),
+            arrays=arrays, objects=objects,
+        )
+
+    return make_runtime
 
 
 def compiled_factory(algorithm, frame_nodes, system=slot_system, n=2):
@@ -540,28 +620,35 @@ def ticket_holder(ctx):
     return 1 + sum(v is not None and v < ticket for v in view)
 
 
+def ticket_system():
+    return {"A": None}, {"T": Ticket()}
+
+
 class TestGenericObjects:
-    @pytest.mark.parametrize("participants", [None, (0, 2)])
-    def test_counted_over_runs_like_the_reference(self, participants):
-        def system():
-            return {"A": None}, {"T": Ticket()}
+    """A shared object other than a GSB oracle has no state in an orbit
+    key: the compiled core refuses it, and the generator runtime, whose
+    state key includes the object's, explores it."""
 
-        def make_runtime():
-            arrays, objects = system()
-            return Runtime(
-                ticket_holder, [1, 2, 3], RoundRobinScheduler(),
-                arrays=arrays, objects=objects,
-            )
+    @pytest.mark.parametrize("frame_nodes", [True, False])
+    def test_compiled_core_refuses_it_when_built(self, frame_nodes):
+        with pytest.raises(ProtocolError, match="shared object 'T' is a Ticket"):
+            compiled_factory(ticket_holder, frame_nodes, ticket_system, n=3)
 
-        reference = PrefixSharingEngine(
+    @pytest.mark.parametrize(
+        "participants,runs", [(None, 1_680), ((0, 2), 20)]
+    )
+    def test_reference_counts_it(self, participants, runs):
+        # Each process takes three steps, so every interleaving is one
+        # run: 9!/(3!)^3 with all three, 6!/(3!)^2 with two.
+        make_runtime = runtime_factory(ticket_holder, ticket_system, n=3)
+        memoized = PrefixSharingEngine(
             make_runtime, participants=participants
         ).decided_vectors()
-        stats = EngineStats()
-        compiled = PrefixSharingEngine(
-            compiled_factory(ticket_holder, True, system, n=3),
-            participants=participants,
-            stats=stats,
-        ).decided_vectors()
-        assert compiled == reference
-        assert stats.runs == sum(reference.values())
-        assert stats.orbits == 0  # no orbit key models the ticket
+        every_run = Counter(
+            tuple(freeze_value(v) for v in result.outputs)
+            for result in PrefixSharingEngine(
+                make_runtime, participants=participants
+            ).runs()
+        )
+        assert memoized == every_run
+        assert sum(memoized.values()) == runs

@@ -1,14 +1,17 @@
 """Invariants of the orbit-quotient explorer past the n <= 3 window.
 
 The differential suite compares the quotient with the generator reference
-at n <= 3, where the reference is still affordable.  The checks here
-hold at any n and need no reference run:
+at n <= 3, where exhausting the reference is still affordable.  The
+checks here hold at any n and run the reference on sampled schedules at
+most:
 
 * **interleaving mass** — in a spec where every process takes exactly k
   steps, each interleaving is one run, so the decided-vector Counter's
   total is the multinomial (kn)! / (k!)^n;
 * **frame nodes** — merging history-trie nodes into local states
-  (``frame_nodes``) changes the orbit table, never the Counter.
+  (``frame_nodes``) changes the orbit table, never the Counter;
+* **sampled reference runs** — every seeded random schedule of the
+  generator reference decides a vector in the quotient's support.
 """
 
 import math
@@ -20,7 +23,10 @@ from repro.shm.engine import (
     PrefixSharingEngine,
     get_spec,
     make_spec_machine,
+    make_spec_runtime,
 )
+from repro.shm.runtime import freeze_value
+from repro.shm.schedulers import RandomScheduler
 
 #: Steps each process takes in these specs, on every schedule.
 STEPS = {"renaming": 3, "election": 2, "wsb": 1}
@@ -71,3 +77,16 @@ def test_frame_nodes_keep_the_counter(name, n, orbits):
     off = quotient_vectors(name, n, frame_nodes=False, stats=trie)
     assert on == off
     assert (merged.orbits, trie.orbits) == orbits
+
+
+@pytest.mark.parametrize(
+    "name,n", [("renaming", 5), ("wsb", 5), ("election", 5), ("wsb-grh", 4)]
+)
+def test_random_reference_schedules_land_in_the_support(name, n):
+    support = quotient_vectors(name, n)
+    make_runtime = make_spec_runtime(get_spec(name), n)
+    for seed in range(25):
+        runtime = make_runtime()
+        runtime.scheduler = RandomScheduler(seed)
+        outputs = tuple(freeze_value(v) for v in runtime.run().outputs)
+        assert outputs in support, (seed, outputs)
